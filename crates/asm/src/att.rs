@@ -249,16 +249,17 @@ fn resolve_att_mnemonic(
 ) -> Option<(Mnemonic, Option<Cond>, bool, Option<u8>)> {
     let exact = resolve_plain(text);
     let suffixed = if text.len() > 1 {
-        let (stem, last) = text.split_at(text.len() - 1);
-        let width = match last {
-            "b" => Some(1u8),
-            "w" => Some(2),
-            "l" => Some(4),
-            "q" => Some(8),
+        // Matched on the last byte: the text may end in a multi-byte
+        // character, and only an ASCII suffix is split off.
+        let width = match text.as_bytes()[text.len() - 1] {
+            b'b' => Some(1u8),
+            b'w' => Some(2),
+            b'l' => Some(4),
+            b'q' => Some(8),
             _ => None,
         };
         width.and_then(|w| {
-            resolve_plain(stem)
+            resolve_plain(&text[..text.len() - 1])
                 .filter(|(m, _, _)| !m.is_sse())
                 .map(|(m, cond, vex)| (m, cond, vex, Some(w)))
         })

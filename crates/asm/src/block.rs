@@ -153,10 +153,14 @@ impl BasicBlock {
         }
         let mut bytes = Vec::with_capacity(hex.len() / 2);
         for chunk in hex.as_bytes().chunks(2) {
-            let pair = std::str::from_utf8(chunk).expect("ascii hex");
-            let byte = u8::from_str_radix(pair, 16).map_err(|_| AsmError::InvalidHex {
-                message: format!("invalid hex pair `{pair}`"),
-            })?;
+            // A non-ASCII character can straddle two pairs, so a pair is
+            // not always valid UTF-8 on its own.
+            let byte = std::str::from_utf8(chunk)
+                .ok()
+                .and_then(|pair| u8::from_str_radix(pair, 16).ok())
+                .ok_or_else(|| AsmError::InvalidHex {
+                    message: format!("invalid hex pair `{}`", String::from_utf8_lossy(chunk)),
+                })?;
             bytes.push(byte);
         }
         BasicBlock::decode(&bytes)

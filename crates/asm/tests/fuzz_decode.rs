@@ -1,7 +1,9 @@
 //! Decoder robustness: arbitrary bytes must never panic, and mutations of
 //! valid instructions must either decode or fail cleanly.
 
-use bhive_asm::{decode_inst, decode_stream, encode_inst, parse_inst, BasicBlock};
+use bhive_asm::{
+    decode_inst, decode_stream, encode_inst, parse_block, parse_block_att, parse_inst, BasicBlock,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -47,5 +49,15 @@ proptest! {
     #[test]
     fn hex_parser_never_panics(s in "[0-9a-fA-Fg-z]{0,40}") {
         let _ = BasicBlock::from_hex(&s);
+    }
+
+    #[test]
+    fn text_parsers_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = BasicBlock::from_hex(&text);
+        let _ = parse_block(&text);
+        let _ = parse_block_att(&text);
     }
 }

@@ -61,7 +61,6 @@ pub mod chaos;
 mod config;
 pub mod exegesis;
 mod failure;
-pub mod interference;
 pub mod interrupt;
 mod measurement;
 mod monitor;

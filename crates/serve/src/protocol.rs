@@ -360,6 +360,18 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_an_error_not_a_stack_overflow() {
+        // A spawned thread gets the default stack, as a serve connection
+        // thread does; unbounded recursion would overflow it.
+        let line = "[".repeat(1_000_000);
+        let parsed = std::thread::spawn(move || parse_request(&line))
+            .join()
+            .expect("parser thread must not crash");
+        let err = parsed.unwrap_err();
+        assert!(err.contains("not valid JSON"), "{err}");
+    }
+
+    #[test]
     fn responses_are_single_schema_tagged_lines() {
         let ok = ok_response(Some(3), 1.25, "cache");
         assert!(ok.contains(r#""schema":"bhive-serve/v1""#), "{ok}");

@@ -382,6 +382,22 @@ fn malformed_requests_answer_errors_and_keep_the_connection() {
 }
 
 #[test]
+fn deeply_nested_line_is_malformed_and_the_daemon_keeps_serving() {
+    let server = start(fast_config());
+    let mut client = Client::connect(&server.addr).expect("connect");
+    let answer = client
+        .roundtrip(&"[".repeat(200_000))
+        .expect("deep line answered");
+    assert!(answer.contains(r#""reason":"malformed""#), "{answer}");
+    drop(client);
+    let mut fresh = Client::connect(&server.addr).expect("reconnect");
+    let health = fresh.roundtrip(r#"{"op":"health"}"#).expect("health");
+    assert!(health.contains(r#""state":"serving""#), "{health}");
+    drop(fresh);
+    assert_eq!(server.stop().malformed, 1);
+}
+
+#[test]
 fn att_requests_resolve_to_the_same_cache_entry_as_hex() {
     let dir = tmp_dir("att");
     let cfg = ServeConfig {

@@ -5,57 +5,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The root manifest's default-members cover the root package and every
+# crate under crates/, so this runs every member's unit, integration
+# and doc tests (the vendored dependency subsets are left out).
 cargo test -q
-# Differential suite, twice: once on the native SIMD dispatch tier and
-# once with the scalar fallback forced, so the kernel the host happens
-# to support never hides a divergence in the portable reference path.
-# (The suite itself additionally pins every *available* tier per case.)
-cargo test -q -p bhive-sim --test differential
+# The two differential suites again with the scalar fallback forced, so
+# the SIMD tier the host happens to support never hides a divergence in
+# the portable path. (Each suite additionally pins every *available*
+# tier per case.) The executor suite checks the predecoded `ExecOp` path
+# against the retained reference interpreter at both harness unroll
+# factors.
 BHIVE_SIMD=off cargo test -q -p bhive-sim --test differential
-# Executor differential, twice for the same reason: the predecoded
-# `ExecOp` path must be bit-identical to the retained reference
-# interpreter (traces, faults, state, stored memory) on every restart of
-# the fault-service loop, at both harness unroll factors.
-cargo test -q -p bhive-sim --test exec_differential
 BHIVE_SIMD=off cargo test -q -p bhive-sim --test exec_differential
-# Chaos suite: injected panics, forced transients, cache-write errors,
-# and breaker trips must all stay contained. Includes the noisy-corpus
-# smoke (retries on, recovery rate > 10% of transiently failed blocks).
-cargo test -q -p bhive-harness --test chaos
-# Observability suite: the deterministic trace section and run report
-# must be byte-identical across thread counts, observation must never
-# perturb a measurement, and the metrics algebra must merge cleanly.
-cargo test -q -p bhive-harness --test obs_determinism
-cargo test -q -p bhive-harness --test obs_properties
 cargo build --examples
-cargo bench --no-run
-# Bench smoke: the machine-readable perf probe must run end to end (the
-# full run is scripts/bench.sh, which emits BENCH_PR9.json) and report
-# every stage of the split execute measurement: the monitor fault-service
-# loop, the lowered-vs-reference executor pair, and the lowering-cache
-# counters (hits prove re-executions actually reuse one lowering).
-smoke_json="$(mktemp)"
-cargo run -q --release -p bhive-bench --example bench_json -- --smoke >"$smoke_json"
-for field in monitor_ns_per_block faults_per_block execute_ns_per_block \
-    execute_ref_ns_per_block execute_speedup prepare_static_ns_per_block \
-    lower_hits lower_misses; do
-    grep -q "\"$field\"" "$smoke_json" || {
-        echo "bench smoke: missing field $field" >&2
-        exit 1
-    }
-done
-python3 - "$smoke_json" <<'PY'
-import json, sys
-probe = json.load(open(sys.argv[1]))
-assert probe["execute_ns_per_block"] > 0, "execute stage never ran"
-assert probe["execute_ref_ns_per_block"] > 0, "reference stage never ran"
-assert probe["lower_misses"] > 0, "lowering cache never filled"
-assert probe["lower_hits"] > probe["lower_misses"], (
-    "re-executions are not reusing the lowering cache: "
-    f"{probe['lower_hits']} hits vs {probe['lower_misses']} misses"
-)
-PY
-rm -f "$smoke_json"
 # CLI smoke: a supervised run with a retry budget exits 0 and reports.
 cargo run -q --release -p bhive -- profile --retries 2 <<'EOF'
 add rax, 1
@@ -74,7 +36,7 @@ grep -q 'bhive-run-report/v1' "$trace_dir/run_report.json"
 # Sharded smoke: a 2-worker sharded run — with one shard worker
 # kill -9'd mid-flight first — resumes and emits a CSV byte-identical
 # to a plain serial run. (The thorough 4-way version is
-# crates/core/tests/sharded.rs, which `cargo test` above already ran.)
+# crates/core/tests/sharded.rs, part of the `cargo test` above.)
 bhive=target/release/bhive
 "$bhive" measure --scale 25 --seed 7 --threads 2 --no-cache \
     >"$shard_dir/serial.csv" 2>/dev/null
@@ -115,10 +77,7 @@ wait "$serve_pid"
 test ! -e "$serve_dir/bhive.sock" # drain unlinks the socket
 # Calibration smoke: a quick calibrate against the shipped Ivy Bridge
 # tables must measure every probe, report zero drift (--diff exits 0),
-# and write the versioned report. The round-trip recovery suite
-# (synthetic tables recovered from measurements alone) is pinned here
-# explicitly on top of the workspace `cargo test` above.
-cargo test -q -p bhive-learn --test calibrate_roundtrip
+# and write the versioned report.
 calib_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$shard_dir" "$serve_dir" "$calib_dir"' EXIT
 "$bhive" calibrate --uarch ivb --quick --no-cache \

@@ -7,6 +7,9 @@ use crate::inst::{Inst, MnemonicClass};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// One instruction's `(offset, len)` within its block's encoding.
+type Span = (u32, u32);
+
 /// A straight-line sequence of instructions.
 ///
 /// As in the published BHive suite, blocks contain no control flow: a
@@ -76,7 +79,7 @@ impl BasicBlock {
     /// # Errors
     ///
     /// Propagates the first [`AsmError`] from [`crate::encode_inst`].
-    pub fn encode_spanned(&self) -> Result<(Vec<u8>, Vec<(u32, u32)>), AsmError> {
+    pub fn encode_spanned(&self) -> Result<(Vec<u8>, Vec<Span>), AsmError> {
         let mut out = Vec::with_capacity(self.insts.len() * 4);
         let mut spans = Vec::with_capacity(self.insts.len());
         for inst in &self.insts {

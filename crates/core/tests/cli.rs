@@ -85,3 +85,73 @@ fn measure_with_cache_is_warm_and_bit_identical() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The labels of the runs a trace log records, in log order.
+fn trace_run_labels(trace: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(trace).expect("trace log written");
+    text.lines()
+        .filter_map(|line| {
+            let rest = line.split_once(r#"{"RunStart":{"label":""#)?.1;
+            Some(rest.split('"').next()?.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn table5_is_identical_at_any_thread_count_cold_and_warm() {
+    let dir = temp_dir("table5-threads");
+    let serial_order = [
+        "Main/ivb",
+        "Training/ivb",
+        "Main/hsw",
+        "Training/hsw",
+        "Main/skl",
+        "Training/skl",
+    ];
+    // Each thread count fills its own cache cold; the warm runs then
+    // swap caches, so a cache filled at one thread count serves the
+    // other.
+    let run = |pass: &str, threads: &str, cache: &str| {
+        let trace = dir.join(pass).join("trace.jsonl");
+        std::fs::create_dir_all(trace.parent().unwrap()).unwrap();
+        let out = bhive(&[
+            "table5",
+            "--scale",
+            "4",
+            "--json",
+            "--threads",
+            threads,
+            "--cache",
+            dir.join(cache).to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
+            "--metrics",
+        ]);
+        assert!(out.status.success(), "{pass}: {out:?}");
+        assert_eq!(
+            trace_run_labels(&trace),
+            serial_order,
+            "{pass}: trace run order"
+        );
+        let report = std::fs::read(dir.join(pass).join("run_report.json")).unwrap();
+        (out.stdout, report)
+    };
+    let (cold1, cold1_report) = run("cold-1", "1", "cache-1");
+    let (cold2, cold2_report) = run("cold-2", "2", "cache-2");
+    let (warm1, warm1_report) = run("warm-1", "1", "cache-2");
+    let (warm2, warm2_report) = run("warm-2", "2", "cache-1");
+
+    let rows = String::from_utf8_lossy(&cold1);
+    assert!(rows.contains(r#""id": "table5""#), "{rows}");
+    assert_eq!(
+        cold1, cold2,
+        "cold stdout differs between --threads 1 and 2"
+    );
+    assert_eq!(cold1, warm1, "warm stdout differs from cold (--threads 1)");
+    assert_eq!(cold1, warm2, "warm stdout differs from cold (--threads 2)");
+    assert_eq!(cold1_report, cold2_report, "cold run_report.json differs");
+    assert_eq!(warm1_report, warm2_report, "warm run_report.json differs");
+    assert_ne!(cold1_report, warm1_report, "the warm runs read the cache");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

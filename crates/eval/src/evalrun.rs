@@ -102,6 +102,17 @@ impl EvalRun {
         stats::mean_relative_error(self.predicted_pairs().map(|(p, v)| (v, p.measured)))
     }
 
+    /// [`EvalRun::overall_error`] of `model` on `data`, computed without
+    /// categories or per-block records: the same figure, for callers that
+    /// read nothing else.
+    pub(crate) fn overall_error_of(model: &dyn ThroughputModel, data: &MeasuredCorpus) -> f64 {
+        stats::mean_relative_error(
+            data.blocks
+                .iter()
+                .filter_map(|m| model.predict(&m.block).map(|v| (v, m.throughput))),
+        )
+    }
+
     /// Frequency-weighted mean relative error.
     pub fn weighted_error(&self) -> f64 {
         stats::weighted_relative_error(

@@ -40,8 +40,8 @@ use bhive_models::{IacaModel, IthemalConfig, IthemalModel, McaModel, OsacaModel,
 use bhive_uarch::UarchKind;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Which corpus an experiment wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,7 +90,9 @@ pub struct Pipeline {
     retries: u32,
     cache_dir: Option<PathBuf>,
     obs: ObsConfig,
-    corpora: Mutex<HashMap<CorpusKind, Arc<Corpus>>>,
+    /// One cell per [`CorpusKind`], so different corpora generate
+    /// concurrently and each exactly once.
+    corpora: [OnceLock<Arc<Corpus>>; 3],
     measured: Mutex<HashMap<(CorpusKind, UarchKind), Arc<MeasuredCorpus>>>,
     profile_stats: Mutex<Vec<(String, ProfileStats)>>,
     classifier: Mutex<Option<Arc<Classifier>>>,
@@ -108,7 +110,7 @@ impl Pipeline {
             retries: 0,
             cache_dir: None,
             obs: ObsConfig::default(),
-            corpora: Mutex::new(HashMap::new()),
+            corpora: Default::default(),
             measured: Mutex::new(HashMap::new()),
             profile_stats: Mutex::new(Vec::new()),
             classifier: Mutex::new(None),
@@ -189,49 +191,128 @@ impl Pipeline {
 
     /// Returns (and caches) a corpus.
     pub fn corpus(&self, kind: CorpusKind) -> Arc<Corpus> {
-        let mut corpora = self.corpora.lock().unwrap();
-        corpora
-            .entry(kind)
-            .or_insert_with(|| {
-                Arc::new(match kind {
-                    CorpusKind::Main => Corpus::generate(self.scale, self.seed),
-                    CorpusKind::Google => Corpus::google(self.scale, self.seed ^ 0x600_61E),
-                    CorpusKind::Training => {
-                        // The learned model gets a larger (disjoint)
-                        // training corpus, as Ithemal trains on millions
-                        // of blocks while evaluation uses a sample.
-                        Corpus::generate(self.scale.times(3.0), self.seed.wrapping_add(0x7EA1))
-                    }
-                })
+        let cell = &self.corpora[kind as usize];
+        cell.get_or_init(|| {
+            Arc::new(match kind {
+                CorpusKind::Main => Corpus::generate(self.scale, self.seed),
+                CorpusKind::Google => Corpus::google(self.scale, self.seed ^ 0x600_61E),
+                CorpusKind::Training => {
+                    // The learned model gets a larger (disjoint)
+                    // training corpus, as Ithemal trains on millions
+                    // of blocks while evaluation uses a sample.
+                    Corpus::generate(self.scale.times(3.0), self.seed.wrapping_add(0x7EA1))
+                }
             })
-            .clone()
+        })
+        .clone()
     }
 
     /// Returns (and caches) the measured ground truth for a corpus on a
     /// microarchitecture.
     pub fn measured(&self, kind: CorpusKind, uarch: UarchKind) -> Arc<MeasuredCorpus> {
-        if let Some(hit) = self.measured.lock().unwrap().get(&(kind, uarch)) {
-            return hit.clone();
+        self.measure_all(&[(kind, uarch)]);
+        self.measured.lock().unwrap()[&(kind, uarch)].clone()
+    }
+
+    /// Measures every `(corpus, uarch)` pair of `pairs` not measured yet,
+    /// concurrently on this pipeline's threads.
+    ///
+    /// The corpora generate first, one task each. Then each
+    /// microarchitecture's pairs run in list order on one task, because
+    /// they share that uarch's cache log and its lock. The results, and
+    /// their [`Pipeline::profile_stats`] entries, are recorded in list
+    /// order once all are done, so the stats order is the one serial
+    /// [`Pipeline::measured`] calls would leave, at any thread count.
+    pub(crate) fn measure_all(&self, pairs: &[(CorpusKind, UarchKind)]) {
+        let mut todo: Vec<(CorpusKind, UarchKind)> = Vec::new();
+        {
+            let measured = self.measured.lock().unwrap();
+            for &pair in pairs {
+                if !measured.contains_key(&pair) && !todo.contains(&pair) {
+                    todo.push(pair);
+                }
+            }
         }
-        let corpus = self.corpus(kind);
-        let (measured, stats) = MeasuredCorpus::measure_with_stats_supervised(
-            &corpus,
-            uarch,
-            &self.profile_config(),
-            self.threads,
-            self.cache_dir.as_deref(),
-            &Supervision::with_obs(self.obs.clone()),
-        );
-        let measured = Arc::new(measured);
-        self.profile_stats
-            .lock()
-            .unwrap()
-            .push((format!("{kind:?}/{}", uarch.short_name()), stats));
-        self.measured
-            .lock()
-            .unwrap()
-            .insert((kind, uarch), measured.clone());
-        measured
+        let (mut kinds, mut uarches) = (Vec::new(), Vec::new());
+        for &(kind, uarch) in &todo {
+            if !kinds.contains(&kind) {
+                kinds.push(kind);
+            }
+            if !uarches.contains(&uarch) {
+                uarches.push(uarch);
+            }
+        }
+        self.par_map(&kinds, |&kind| {
+            self.corpus(kind);
+        });
+        let mut done: HashMap<_, _> = self
+            .par_map(&uarches, |&uarch| {
+                todo.iter()
+                    .filter(|&&(_, u)| u == uarch)
+                    .map(|&pair| {
+                        let measured = MeasuredCorpus::measure_with_stats_supervised(
+                            &self.corpus(pair.0),
+                            uarch,
+                            &self.profile_config(),
+                            self.threads,
+                            self.cache_dir.as_deref(),
+                            &Supervision::with_obs(self.obs.clone()),
+                        );
+                        (pair, measured)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        let mut measured = self.measured.lock().unwrap();
+        let mut profile_stats = self.profile_stats.lock().unwrap();
+        for (kind, uarch) in todo {
+            let (data, stats) = done.remove(&(kind, uarch)).expect("every pair measured");
+            profile_stats.push((format!("{kind:?}/{}", uarch.short_name()), stats));
+            measured.insert((kind, uarch), Arc::new(data));
+        }
+    }
+
+    /// Maps `f` over `items` on `min(threads, items.len())` scoped
+    /// workers (`threads = 0`: one per CPU), returning the results in
+    /// item order. One worker runs inline, so `--threads 1` stays serial.
+    pub(crate) fn par_map<T: Sync, R: Send>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        let threads = match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        let workers = threads.min(items.len());
+        if workers <= 1 {
+            return items.iter().map(f).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let mut results: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        loop {
+                            let idx = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(item) = items.get(idx) else {
+                                break out;
+                            };
+                            out.push((idx, f(item)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        results.sort_by_key(|&(idx, _)| idx);
+        results.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Observability: one [`ProfileStats`] per corpus measured so far, in

@@ -898,7 +898,7 @@ pub fn profile_corpus_supervised(
     // skipped at open; reclaim their log space now that the run is over.
     // A cache degraded mid-run is already `None` here, so a failing disk
     // is never touched again.
-    if let Some(cache) = cache.as_deref_mut() {
+    if let Some(cache) = cache {
         if cache.stale_on_disk() > 0 && cache.compact().is_err() {
             disk.write_errors += 1;
         }

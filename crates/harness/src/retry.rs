@@ -166,10 +166,8 @@ impl CircuitBreaker {
         if transient {
             self.transients_in_window += 1;
         }
-        if self.recent.len() > self.config.window {
-            if self.recent.pop_front() == Some(true) {
-                self.transients_in_window -= 1;
-            }
+        if self.recent.len() > self.config.window && self.recent.pop_front() == Some(true) {
+            self.transients_in_window -= 1;
         }
         self.seen += 1;
         if self.trip.is_none() && self.seen >= self.config.min_samples {

@@ -262,8 +262,8 @@ pub fn profile_corpus_sharded(
     // The victim's owned *unique* keys, front-to-back in corpus order,
     // with the representative block for each.
     let mut victim_work: HashMap<u32, Vec<(u64, usize)>> = HashMap::new();
-    for idx in 0..blocks.len() {
-        if let Some(key) = keys[idx] {
+    for (idx, &key) in keys.iter().enumerate() {
+        if let Some(key) = key {
             let shard = shard_of(key, spec.count);
             if shard != spec.index {
                 let work = victim_work.entry(shard).or_default();

@@ -228,8 +228,7 @@ impl CandidateSim {
     fn uarch_for(&self, overrides: &TableOverrides) -> &'static Uarch {
         let fp = overrides.fingerprint();
         let mut memo = self.memo.lock().unwrap();
-        *memo
-            .entry(fp)
+        memo.entry(fp)
             .or_insert_with(|| self.base.with_overrides(overrides.clone()).leak())
     }
 
@@ -409,7 +408,7 @@ pub fn calibrate(
                 });
             }
         }
-        obs.events.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        obs.events.sort_by_key(TraceEvent::sort_key);
         obs.metrics.add("calib.probes", report.probe_count as u64);
         obs.metrics
             .add("calib.measured_probes", report.measured_probes as u64);

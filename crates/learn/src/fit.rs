@@ -96,17 +96,19 @@ pub fn fit_ols(xs: &[Vec<f64>], ys: &[f64]) -> Result<OlsFit, FitError> {
     // [A | b] system.
     let mut a = vec![vec![0.0f64; n + 1]; n];
     for (i, &y) in ys.iter().enumerate() {
-        for j in 0..n {
+        for (j, a_j) in a.iter_mut().enumerate() {
             let xj = row(i, j);
-            for (k, a_jk) in a[j].iter_mut().enumerate().take(n).skip(j) {
+            for (k, a_jk) in a_j.iter_mut().enumerate().take(n).skip(j) {
                 *a_jk += xj * row(i, k);
             }
-            a[j][n] += xj * y;
+            a_j[n] += xj * y;
         }
     }
-    for j in 0..n {
-        for k in 0..j {
-            a[j][k] = a[k][j];
+    // Mirror the upper triangle into the lower one.
+    for j in 1..n {
+        let (above, from_j) = a.split_at_mut(j);
+        for (k, a_k) in above.iter().enumerate() {
+            from_j[0][k] = a_k[j];
         }
     }
 
@@ -127,10 +129,12 @@ pub fn fit_ols(xs: &[Vec<f64>], ys: &[f64]) -> Result<OlsFit, FitError> {
             return Err(FitError::RankDeficient);
         }
         a.swap(col, pivot_row);
-        for r in (col + 1)..n {
-            let factor = a[r][col] / a[col][col];
-            for c in col..=n {
-                a[r][c] -= factor * a[col][c];
+        let (through_col, below) = a.split_at_mut(col + 1);
+        let pivot = &through_col[col];
+        for a_r in below {
+            let factor = a_r[col] / pivot[col];
+            for (a_rc, &a_pc) in a_r[col..].iter_mut().zip(&pivot[col..]) {
+                *a_rc -= factor * a_pc;
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::perturb::perturb_recipe;
 use crate::schedule::Schedule;
-use crate::scheduler::{steady_state, StaticParams};
+use crate::scheduler::{simulate, Run};
 use crate::{isa_unsupported, ThroughputModel};
 use bhive_asm::{BasicBlock, Mnemonic};
 use bhive_uarch::{decompose, Recipe, UarchKind, VarLat};
@@ -45,6 +45,15 @@ impl IacaModel {
         self
     }
 
+    /// Schedules `block` on this model's recipes, or `None` when the
+    /// tool cannot analyze it.
+    fn run(&self, block: &BasicBlock) -> Option<Run> {
+        if block.is_empty() || isa_unsupported(block, self.kind) {
+            return None;
+        }
+        Some(simulate(block, &self.recipes(block), self.kind.desc()))
+    }
+
     fn recipes(&self, block: &BasicBlock) -> Vec<Recipe> {
         let uarch = self.kind.desc();
         block
@@ -83,33 +92,11 @@ impl ThroughputModel for IacaModel {
     }
 
     fn predict(&self, block: &BasicBlock) -> Option<f64> {
-        if block.is_empty() || isa_unsupported(block, self.kind) {
-            return None;
-        }
-        let recipes = self.recipes(block);
-        let (tp, _) = steady_state(
-            block,
-            &recipes,
-            self.kind.desc(),
-            StaticParams { macro_fusion: true },
-            self.name(),
-        );
-        Some(tp)
+        Some(self.run(block)?.throughput())
     }
 
     fn schedule(&self, block: &BasicBlock) -> Option<Schedule> {
-        if block.is_empty() || isa_unsupported(block, self.kind) {
-            return None;
-        }
-        let recipes = self.recipes(block);
-        let (_, schedule) = steady_state(
-            block,
-            &recipes,
-            self.kind.desc(),
-            StaticParams { macro_fusion: true },
-            self.name(),
-        );
-        Some(schedule)
+        Some(self.run(block)?.schedule(block, self.name()))
     }
 }
 

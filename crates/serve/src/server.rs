@@ -685,11 +685,17 @@ enum LineEvent {
 
 struct LineReader {
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline, so each
+    /// byte is searched once however many reads a long line takes.
+    scanned: usize,
 }
 
 impl LineReader {
     fn new() -> LineReader {
-        LineReader { buf: Vec::new() }
+        LineReader {
+            buf: Vec::new(),
+            scanned: 0,
+        }
     }
 
     /// Reads up to the next newline, classifying how the read ended:
@@ -698,11 +704,13 @@ impl LineReader {
     /// stall — both distinct from a clean EOF or an idle keep-alive.
     fn next(&mut self, conn: &mut Conn) -> LineEvent {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
+            if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let mut line: Vec<u8> = self.buf.drain(..=self.scanned + pos).collect();
                 line.pop();
+                self.scanned = 0;
                 return LineEvent::Line(String::from_utf8_lossy(&line).into_owned());
             }
+            self.scanned = self.buf.len();
             let mut chunk = [0u8; 4096];
             match conn.read(&mut chunk) {
                 Ok(0) => {

@@ -319,16 +319,13 @@ fn draining_server_rejects_new_misses() {
     server.handle.shutdown();
     // Wait for the accept loop to notice and set draining.
     std::thread::sleep(Duration::from_millis(50));
-    match client.roundtrip(&predict(2, SUB)) {
-        Ok(answer) => {
-            assert!(
-                answer.contains(r#""reason":"draining""#),
-                "draining rejections for misses: {answer}"
-            );
-        }
-        // The connection may already have been closed by the drain —
-        // equally correct: no new work was accepted.
-        Err(_) => {}
+    // An error means the drain already closed the connection — equally
+    // correct: no new work was accepted.
+    if let Ok(answer) = client.roundtrip(&predict(2, SUB)) {
+        assert!(
+            answer.contains(r#""reason":"draining""#),
+            "draining rejections for misses: {answer}"
+        );
     }
     drop(client);
     let summary = server.thread.join().expect("thread").expect("run ok");
@@ -394,6 +391,35 @@ fn deeply_nested_line_is_malformed_and_the_daemon_keeps_serving() {
     let health = fresh.roundtrip(r#"{"op":"health"}"#).expect("health");
     assert!(health.contains(r#""state":"serving""#), "{health}");
     drop(fresh);
+    assert_eq!(server.stop().malformed, 1);
+}
+
+#[test]
+fn long_line_in_small_writes_is_malformed_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = start(fast_config());
+    let BindAddr::Tcp(hostport) = &server.addr else {
+        unreachable!("started on tcp")
+    };
+    let mut stream = std::net::TcpStream::connect(hostport.as_str()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    // One 8 MiB request line in 4 KiB writes: the reader searches each
+    // byte for the newline once, so this is linear in the line length.
+    let chunk = [b'x'; 4096];
+    for _ in 0..(8 << 20) / chunk.len() {
+        stream.write_all(&chunk).expect("send chunk");
+    }
+    stream
+        .write_all(b"\n{\"op\":\"health\"}\n")
+        .expect("send tail");
+    let mut answers = BufReader::new(stream.try_clone().expect("clone"));
+    let mut answer = String::new();
+    answers.read_line(&mut answer).expect("long line answered");
+    assert!(answer.contains(r#""reason":"malformed""#), "{answer}");
+    answer.clear();
+    answers.read_line(&mut answer).expect("health answered");
+    assert!(answer.contains(r#""state":"serving""#), "{answer}");
+    drop((answers, stream));
     assert_eq!(server.stop().malformed, 1);
 }
 

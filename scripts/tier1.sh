@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, full test suite, formatting. Everything a
-# change must keep green before it lands.
+# Tier-1 gate: release build, full test suite, formatting, lints.
+# Everything a change must keep green before it lands.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,5 +87,10 @@ if command -v rustfmt >/dev/null 2>&1; then
     cargo fmt --check
 else
     echo "warning: rustfmt not installed; skipping format check" >&2
+fi
+if cargo clippy --version >/dev/null 2>&1; then
+    cargo clippy --workspace --all-targets -- -D warnings
+else
+    echo "warning: clippy not installed; skipping lint check" >&2
 fi
 echo "tier-1 gate: OK"

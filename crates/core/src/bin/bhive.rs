@@ -639,9 +639,7 @@ fn run() -> Result<ExitCode, CliError> {
                 // the shard-suffixed cache, write the completion report,
                 // and exit — the supervisor owns the canonical output.
                 let stats = run_shard_worker(&pipeline, &opts, spec)?;
-                let unhealthy = stats.breaker.is_some()
-                    || (stats.total_blocks > 0 && stats.successful_blocks == 0);
-                return Ok(if unhealthy {
+                return Ok(if stats.is_unhealthy() {
                     ExitCode::from(2)
                 } else if stats.interrupted {
                     ExitCode::from(130)

@@ -53,7 +53,7 @@ use crate::obs::{
 use crate::profiler::Profiler;
 use crate::retry::{BreakerConfig, BreakerTrip, CircuitBreaker, RetryPolicy};
 use bhive_asm::BasicBlock;
-use bhive_sim::{Machine, SimdTier};
+use bhive_sim::Machine;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,17 +78,6 @@ const WORK_LATENCY_NS: BucketLayout = BucketLayout::Exponential {
 /// `"sim."`-prefixed metric names for `PerfCounters::snapshot`, in
 /// snapshot order, pre-joined so the per-accept metrics fold never
 /// allocates. A unit test pins this table to the snapshot.
-/// Pre-joined counter name for the process-wide simulate-kernel dispatch
-/// tier (see [`SimdTier::active`]), so the per-attempt fold never
-/// allocates.
-fn kernel_tier_counter() -> &'static str {
-    match SimdTier::active() {
-        SimdTier::Avx2 => "sim.kernel.avx2",
-        SimdTier::Sse41 => "sim.kernel.sse4.1",
-        SimdTier::Scalar => "sim.kernel.scalar",
-    }
-}
-
 const SIM_COUNTERS: [&str; 9] = [
     "sim.core_cycles",
     "sim.instructions_retired",
@@ -338,25 +327,7 @@ impl ProfileStats {
         self.retried_blocks += other.retried_blocks;
         self.recovered_blocks += other.recovered_blocks;
         self.retry_attempts += other.retry_attempts;
-        self.breaker = match (self.breaker, other.breaker) {
-            (Some(a), Some(b)) => {
-                // Deterministic, order-free pick: the smallest evidence
-                // tuple (f64 compared totally, so NaN cannot flip order).
-                let key = |t: &BreakerTrip| (t.at_block, t.window);
-                Some(match key(&a).cmp(&key(&b)) {
-                    std::cmp::Ordering::Less => a,
-                    std::cmp::Ordering::Greater => b,
-                    std::cmp::Ordering::Equal => {
-                        if a.rate.total_cmp(&b.rate).is_le() {
-                            a
-                        } else {
-                            b
-                        }
-                    }
-                })
-            }
-            (a, b) => a.or(b),
-        };
+        self.breaker = BreakerTrip::earliest(self.breaker, other.breaker);
         self.chaos = match (self.chaos, other.chaos) {
             (Some(a), Some(b)) => Some(ChaosStats {
                 injected_panics: a.injected_panics + b.injected_panics,
@@ -999,10 +970,6 @@ fn attempt_block(
             trials: RetryPolicy::trials_for(attempt, profiler.config().trials),
         });
         buf.add("attempts.total", 1);
-        // Which simulate-kernel dispatch tier served this attempt
-        // (process-wide; recorded per attempt so corpus-level reports
-        // show exactly what ran).
-        buf.add(kernel_tier_counter(), 1);
     }
     let lower_before = machine.lower_stats();
     let forced = chaos.is_some_and(|c| c.forces_transient(unique, attempt));

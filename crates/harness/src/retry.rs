@@ -127,6 +127,23 @@ pub struct BreakerTrip {
     pub window: usize,
 }
 
+impl BreakerTrip {
+    /// The trip a stats merge keeps: the smallest `(at_block, window)`
+    /// evidence, ties broken by the lower rate compared totally (so a NaN
+    /// cannot flip the order). The pick is order-free, so merged stats
+    /// never depend on which shard report was read first.
+    pub fn earliest(a: Option<BreakerTrip>, b: Option<BreakerTrip>) -> Option<BreakerTrip> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(std::cmp::min_by(a, b, |x, y| {
+                (x.at_block, x.window)
+                    .cmp(&(y.at_block, y.window))
+                    .then(x.rate.total_cmp(&y.rate))
+            })),
+            (a, b) => a.or(b),
+        }
+    }
+}
+
 /// Sliding-window transient-failure-rate monitor.
 ///
 /// Feed it first-attempt outcomes in a deterministic order

@@ -582,23 +582,7 @@ impl ShardStats {
         self.retried_blocks += other.retried_blocks;
         self.recovered_blocks += other.recovered_blocks;
         self.retry_attempts += other.retry_attempts;
-        self.breaker = match (self.breaker, other.breaker) {
-            (Some(a), Some(b)) => {
-                let key = |t: &BreakerTrip| (t.at_block, t.window);
-                Some(match key(&a).cmp(&key(&b)) {
-                    std::cmp::Ordering::Less => a,
-                    std::cmp::Ordering::Greater => b,
-                    std::cmp::Ordering::Equal => {
-                        if a.rate.total_cmp(&b.rate).is_le() {
-                            a
-                        } else {
-                            b
-                        }
-                    }
-                })
-            }
-            (a, b) => a.or(b),
-        };
+        self.breaker = BreakerTrip::earliest(self.breaker, other.breaker);
         for (category, n) in &other.failures {
             *self.failures.entry(category.clone()).or_insert(0) += n;
         }

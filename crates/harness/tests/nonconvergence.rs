@@ -110,9 +110,5 @@ fn nonconvergence_emits_trace_event_and_failure_counter() {
     let counts = obs.event_counts();
     assert!(counts.get("attempt-failed").copied().unwrap_or(0) >= 1);
     assert_eq!(obs.metrics.counter("failures.non-convergent"), 1);
-    // The kernel-dispatch tier is recorded per attempt.
-    let tier_attempts = obs.metrics.counter("sim.kernel.avx2")
-        + obs.metrics.counter("sim.kernel.sse4.1")
-        + obs.metrics.counter("sim.kernel.scalar");
-    assert!(tier_attempts >= 1, "kernel tier counter missing");
+    assert!(obs.metrics.counter("attempts.total") >= 1);
 }

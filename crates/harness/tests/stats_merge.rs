@@ -12,7 +12,7 @@
 
 use bhive_harness::{
     cache_key, shard_of, BreakerTrip, CacheStats, ChaosStats, ProfileConfig, ProfileStats,
-    Profiler, WorkerStats,
+    Profiler, ShardStats, WorkerStats,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -89,6 +89,22 @@ fn merged(a: &ProfileStats, b: &ProfileStats) -> ProfileStats {
     out
 }
 
+/// A breaker trip drawn from tiny ranges, so two trips often tie on
+/// `(at_block, window)` and the rate tie-break (signed zeros and NaN
+/// included) decides.
+fn arb_trip(rng: &mut SmallRng) -> Option<BreakerTrip> {
+    rng.gen_bool(0.8).then(|| BreakerTrip {
+        at_block: rng.gen_range(0..3),
+        rate: [0.25, 0.5, 0.0, -0.0, f64::NAN][rng.gen_range(0..5usize)],
+        window: rng.gen_range(1..3),
+    })
+}
+
+/// A trip as comparable bits (`f64` equality would reject NaN).
+fn trip_bits(trip: Option<BreakerTrip>) -> Option<(usize, usize, u64)> {
+    trip.map(|t| (t.at_block, t.window, t.rate.to_bits()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -130,6 +146,24 @@ proptest! {
         prop_assert_eq!(out.total_blocks, a.total_blocks + b.total_blocks);
         prop_assert_eq!(out.elapsed, a.elapsed.max(b.elapsed));
         prop_assert_eq!(out.workers.len(), a.workers.len() + b.workers.len());
+    }
+
+    /// Shard reports are merged in whatever order they are read: either
+    /// order keeps the same breaker trip, and it is the trip the
+    /// in-process `ProfileStats` merge keeps.
+    #[test]
+    fn shard_merge_picks_the_same_trip_in_either_order(sa in any::<u64>(), sb in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(sa.wrapping_mul(31).wrapping_add(sb));
+        let (mut a, mut b) = (arb_stats(sa), arb_stats(sb));
+        a.breaker = arb_trip(&mut rng);
+        b.breaker = arb_trip(&mut rng);
+        let (shard_a, shard_b) = (ShardStats::from(&a), ShardStats::from(&b));
+        let mut ab = shard_a.clone();
+        ab.merge(&shard_b);
+        let mut ba = shard_b.clone();
+        ba.merge(&shard_a);
+        prop_assert_eq!(trip_bits(ab.breaker), trip_bits(ba.breaker));
+        prop_assert_eq!(trip_bits(ab.breaker), trip_bits(merged(&a, &b).breaker));
     }
 }
 

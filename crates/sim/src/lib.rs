@@ -44,7 +44,6 @@ mod exec;
 mod machine;
 mod mem;
 mod noise;
-mod simd;
 mod state;
 mod timing;
 
@@ -54,7 +53,6 @@ pub use exec::{effective_addr, execute_inst, ExecFault, InstEffects, MemAccess};
 pub use machine::{LowerStats, Machine, RunError, RunOutcome, CODE_BASE};
 pub use mem::{Memory, PhysPage, SegFault, PAGE_SIZE};
 pub use noise::NoiseConfig;
-pub use simd::SimdTier;
 pub use state::{CpuState, Flags, Mxcsr};
 pub use timing::{
     CodeLayout, DynInst, NonConvergence, PreparedTrace, SimScratch, StaticPrep, TimingModel,

@@ -18,16 +18,16 @@
 //!   `ports`/`latency`/`dep_*` columns instead of chasing struct fields.
 //! * [`TimingModel::simulate_with`] replays a prepared trace (or any
 //!   prefix of it) against concrete cache state, which is the only input
-//!   that differs between warm-up and measured runs. Readiness testing is
-//!   batched through the runtime-dispatched SIMD kernels of
-//!   [`crate::simd`] (AVX2 / SSE4.1 / scalar), dependency resolution uses
-//!   consumer wake-up lists instead of rescanning producer lists every
-//!   cycle, and stretches of cycles where nothing can happen are skipped
-//!   in one step — all without changing a single observable bit.
+//!   that differs between warm-up and measured runs. Readiness lives in a
+//!   per-uop bitset fed by a pending wake-up calendar, dependency
+//!   resolution uses consumer wake-up lists instead of rescanning
+//!   producer lists every cycle, and stretches of cycles where nothing can
+//!   happen are skipped in one step — all without changing a single
+//!   observable bit.
 //!
 //! [`TimingModel::run_reference`] keeps the original single-pass
 //! implementation; differential tests pin the split path to it bit for
-//! bit at every SIMD dispatch tier.
+//! bit.
 //!
 //! Both paths share one safety valve: a schedule that fails to retire
 //! everything within the cycle budget returns [`NonConvergence`] instead
@@ -36,8 +36,6 @@
 
 use crate::cache::Cache;
 use crate::exec::InstEffects;
-use crate::simd::{self, SimdTier, READY_NEVER};
-use crate::state::CpuState;
 use bhive_asm::{AsmError, Gpr, Inst};
 use bhive_uarch::{decompose_cached, macro_fuses, Recipe, Uarch, UarchKind, Uop, UopKind, VarLat};
 use std::collections::HashMap;
@@ -355,9 +353,6 @@ pub struct PreparedTrace {
     /// scheduler's issue block reads one 20-byte record instead of
     /// gathering from eight parallel columns.
     meta: Vec<UopMeta>,
-    /// Initial `ready_at` value: 0 for dependency-free uops,
-    /// [`READY_NEVER`] otherwise (consumed by the reference pipeline).
-    ready_init: Vec<u64>,
     /// Bit per uop id: set iff the uop has no producers, i.e. its
     /// operands are ready from cycle 0. Copied wholesale into the
     /// scheduler's ready set at simulation start.
@@ -442,11 +437,8 @@ pub struct SimScratch {
     ready_bits: Vec<u64>,
     /// Pending wake-up calendar: `(cycle << PEND_SHIFT) | uop_id` keys
     /// for uops whose operands resolve at a known future cycle. Drained
-    /// into `ready_bits` once that cycle arrives; the drain compare is
-    /// the SIMD readiness kernel's job when the calendar is deep enough.
+    /// into `ready_bits` once that cycle arrives.
     pend: Vec<u64>,
-    /// Kernel output scratch for batched drains.
-    drain_bits: Vec<u64>,
 }
 
 /// Bit position splitting a pending-calendar key into `(cycle, uop id)`:
@@ -457,6 +449,16 @@ pub struct SimScratch {
 /// cycle values are bounded by the convergence budget, far below the
 /// remaining 40 bits.
 const PEND_SHIFT: u32 = 24;
+
+/// The earliest value in `completion` strictly after `cycle`, or
+/// `u64::MAX` when there is none. Unissued uops hold `u64::MAX` and
+/// completed ones hold a cycle `<= cycle`, so neither counts: what is
+/// left is exactly the set of in-flight completion events.
+fn min_future(completion: &[u64], cycle: u64) -> u64 {
+    completion
+        .iter()
+        .fold(u64::MAX, |min, &v| if v > cycle { min.min(v) } else { min })
+}
 
 /// Wake-up countdown for one uop: the consumer side of the scoreboard.
 #[derive(Debug, Clone, Copy, Default)]
@@ -758,7 +760,6 @@ impl<'a> TimingModel<'a> {
             dep_len,
             mem_addr,
             meta,
-            ready_init,
             ready0_mask,
             wake0,
             inst_state0,
@@ -785,7 +786,6 @@ impl<'a> TimingModel<'a> {
         dep_len.clear();
         mem_addr.clear();
         meta.clear();
-        ready_init.clear();
         ready0_mask.clear();
         wake0.clear();
         inst_state0.clear();
@@ -955,7 +955,6 @@ impl<'a> TimingModel<'a> {
                     is_store: u8::from(uop.kind == UopKind::StoreData),
                     _pad: 0,
                 });
-                ready_init.push(if kept == 0 { 0 } else { READY_NEVER });
                 match uop.kind {
                     UopKind::Load => load_uop = id,
                     UopKind::Compute => last_compute = id,
@@ -1082,11 +1081,10 @@ impl<'a> TimingModel<'a> {
     }
 
     /// Runs the first `n_insts` prepared dynamic instructions through the
-    /// pipeline with the process-wide SIMD dispatch tier
-    /// ([`SimdTier::active`]). `l1i`/`l1d` carry cache state across runs
-    /// (the harness performs a warm-up run first, exactly like the
-    /// paper's double execution); `scratch` is caller-owned so repeated
-    /// runs allocate nothing.
+    /// pipeline. `l1i`/`l1d` carry cache state across runs (the harness
+    /// performs a warm-up run first, exactly like the paper's double
+    /// execution); `scratch` is caller-owned so repeated runs allocate
+    /// nothing.
     ///
     /// Prefix replay is exact: simulating `n` instructions of a longer
     /// preparation is bit-identical to preparing and simulating the
@@ -1108,31 +1106,6 @@ impl<'a> TimingModel<'a> {
         l1d: &mut Cache,
         scratch: &mut SimScratch,
     ) -> Result<TimingResult, NonConvergence> {
-        self.simulate_with_tier(prep, n_insts, l1i, l1d, scratch, SimdTier::active())
-    }
-
-    /// [`TimingModel::simulate_with`] pinned to an explicit SIMD dispatch
-    /// tier. Every tier is bit-identical; this entry point exists so the
-    /// differential suite can verify that claim on whatever tiers the
-    /// host supports.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonConvergence`] if the schedule exhausts its cycle
-    /// budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_insts` exceeds the prepared length.
-    pub fn simulate_with_tier(
-        &self,
-        prep: &PreparedTrace,
-        n_insts: usize,
-        l1i: &mut Cache,
-        l1d: &mut Cache,
-        scratch: &mut SimScratch,
-        tier: SimdTier,
-    ) -> Result<TimingResult, NonConvergence> {
         assert!(
             n_insts <= prep.len(),
             "prefix of {n_insts} insts exceeds prepared trace of {}",
@@ -1151,7 +1124,6 @@ impl<'a> TimingModel<'a> {
             inst_state,
             ready_bits,
             pend,
-            drain_bits,
         } = scratch;
         // Hoisted column views: one slice bound per array instead of a
         // Vec deref on every random access in the cycle loop.
@@ -1239,6 +1211,11 @@ impl<'a> TimingModel<'a> {
                 // SAFETY: `next_retire < total_insts`, and `imeta`,
                 // `inst_state`, and `rename_cycle` all span at least
                 // `total_insts` entries (sized in the init above).
+                debug_assert!(
+                    next_retire < imeta.len()
+                        && next_retire < inst_state.len()
+                        && next_retire < rename_cycle.len()
+                );
                 let im = unsafe { *imeta.get_unchecked(next_retire) };
                 let done = if im.elim != 0 {
                     (unsafe { *rename_cycle.get_unchecked(next_retire) }) <= cycle
@@ -1260,49 +1237,30 @@ impl<'a> TimingModel<'a> {
             // at `c` completes no earlier than `c + 1`), so a drain can
             // only happen on a later cycle than the insert, and `<=` here
             // agrees bit for bit with the per-scan compare it replaces.
-            // The SIMD readiness kernel tests the whole calendar at once
-            // when it is deep enough to amortize the dispatch.
             let pend_thresh = (cycle + 1) << PEND_SHIFT;
             if min_pend < pend_thresh {
                 min_pend = u64::MAX;
                 let n = pend.len();
                 let mut kept = 0usize;
-                if n >= simd::READY_BATCH_MIN {
-                    drain_bits.clear();
-                    drain_bits.resize(n.div_ceil(64), 0);
-                    simd::ready_mask(tier, pend, pend_thresh - 1, drain_bits);
+                // Branchless compact: matured keys set their ready bit (an
+                // `|= 0` no-op otherwise) and are dropped by not advancing
+                // the write cursor.
+                for i in 0..n {
                     // SAFETY: `kept <= i < n = pend.len()`; uids were
                     // masked to PEND_SHIFT bits at insert and are
                     // `< uop_limit`, and `ready_bits` spans every
                     // prepared uop id.
-                    for i in 0..n {
-                        let key = unsafe { *pend.get_unchecked(i) };
-                        let matured = drain_bits[i >> 6] >> (i & 63) & 1 != 0;
-                        let uid = (key & ((1 << PEND_SHIFT) - 1)) as usize;
-                        unsafe {
-                            *ready_bits.get_unchecked_mut(uid >> 6) |=
-                                u64::from(matured) << (uid & 63);
-                            *pend.get_unchecked_mut(kept) = key;
-                        }
-                        min_pend = min_pend.min(if matured { u64::MAX } else { key });
-                        kept += usize::from(!matured);
+                    debug_assert!(kept <= i && i < pend.len());
+                    let key = unsafe { *pend.get_unchecked(i) };
+                    let matured = key < pend_thresh;
+                    let uid = (key & ((1 << PEND_SHIFT) - 1)) as usize;
+                    debug_assert!(uid < uop_limit && uid >> 6 < ready_bits.len());
+                    unsafe {
+                        *ready_bits.get_unchecked_mut(uid >> 6) |= u64::from(matured) << (uid & 63);
+                        *pend.get_unchecked_mut(kept) = key;
                     }
-                } else {
-                    // Branchless compact: matured keys set their ready
-                    // bit (an `|= 0` no-op otherwise) and are dropped by
-                    // not advancing the write cursor. SAFETY: as above.
-                    for i in 0..n {
-                        let key = unsafe { *pend.get_unchecked(i) };
-                        let matured = key < pend_thresh;
-                        let uid = (key & ((1 << PEND_SHIFT) - 1)) as usize;
-                        unsafe {
-                            *ready_bits.get_unchecked_mut(uid >> 6) |=
-                                u64::from(matured) << (uid & 63);
-                            *pend.get_unchecked_mut(kept) = key;
-                        }
-                        min_pend = min_pend.min(if matured { u64::MAX } else { key });
-                        kept += usize::from(!matured);
-                    }
+                    min_pend = min_pend.min(if matured { u64::MAX } else { key });
+                    kept += usize::from(!matured);
                 }
                 pend.truncate(kept);
             }
@@ -1352,6 +1310,7 @@ impl<'a> TimingModel<'a> {
                 while w * 64 < frontier {
                     // SAFETY: `w * 64 < frontier <= uop_limit`, and
                     // `ready_bits` holds one bit per prepared uop.
+                    debug_assert!(w < ready_bits.len());
                     let mut bits = unsafe { *ready_bits.get_unchecked(w) };
                     let rel = frontier - w * 64;
                     if rel < 64 {
@@ -1375,7 +1334,9 @@ impl<'a> TimingModel<'a> {
                         // uop_limit`. The differential suite pins this
                         // block bit-for-bit against the bounds-checked
                         // reference pipeline.
-                        debug_assert!(uid + 1 < meta.len() && uid < completion.len());
+                        debug_assert!(
+                            uid + 1 < meta.len() && uid < mem_addr.len() && uid < completion.len()
+                        );
                         let m = unsafe { *meta.get_unchecked(uid) };
                         let cand = m.ports & avail;
                         if cand == 0 {
@@ -1464,6 +1425,8 @@ impl<'a> TimingModel<'a> {
                         let block_bit = u8::from(m.blocking != 0) << port;
                         busy_mask |= block_bit;
                         avail &= !block_bit;
+                        // SAFETY: `w` is the word loaded above.
+                        debug_assert!(w < ready_bits.len());
                         unsafe {
                             *ready_bits.get_unchecked_mut(w) &= !slot_bit;
                         }
@@ -1487,6 +1450,11 @@ impl<'a> TimingModel<'a> {
                 // SAFETY: `next_rename < total_insts`; `fetch_cycle` and
                 // `rename_cycle` were filled to `total_insts` entries in
                 // the init above and `imeta` spans the whole preparation.
+                debug_assert!(
+                    next_rename < fetch_cycle.len()
+                        && next_rename < rename_cycle.len()
+                        && next_rename < imeta.len()
+                );
                 if (unsafe { *fetch_cycle.get_unchecked(next_rename) }) > cycle {
                     break;
                 }
@@ -1643,7 +1611,7 @@ impl<'a> TimingModel<'a> {
                 } else {
                     uop_limit
                 };
-                let mut next_event = simd::min_future(tier, &completion[lo..hi], prev);
+                let mut next_event = min_future(&completion[lo..hi], prev);
                 for &free in port_free.iter() {
                     if free > prev {
                         next_event = next_event.min(free);
@@ -1695,13 +1663,13 @@ impl<'a> TimingModel<'a> {
 
     /// The original single-pass implementation, kept verbatim as the
     /// straight-line reference: differential tests pin
-    /// `prepare` + `simulate` (including prefix replay and every SIMD
-    /// dispatch tier) to this path bit for bit. Not used on hot paths.
+    /// `prepare` + `simulate` (including prefix replay) to this path bit
+    /// for bit. Not used on hot paths.
     ///
     /// # Errors
     ///
     /// Returns [`NonConvergence`] if the schedule exhausts its cycle
-    /// budget; the batched path fails with a bit-identical error.
+    /// budget; the prepared path fails with a bit-identical error.
     pub fn run_reference(
         &self,
         trace: &[DynInst],
@@ -2125,15 +2093,11 @@ pub(crate) fn div_latency(kind: UarchKind, width: u8, quotient_bits: u32, rdx_ze
     }
 }
 
-/// Touch the unused `CpuState` import used only in doc positions.
-#[allow(dead_code)]
-fn _state_marker(_: &CpuState) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::Cache;
-    use bhive_asm::parse_block;
+    use bhive_asm::{parse_block, BasicBlock};
     use bhive_uarch::Uarch;
 
     /// Builds a synthetic trace with `copies` executions of the block and
@@ -2379,6 +2343,28 @@ mod tests {
         assert_eq!(layout.base, reference.base);
     }
 
+    /// Cold then warm on every shipped uarch: the prepared path must
+    /// match the reference bit for bit, with cache state carried
+    /// identically on both sides.
+    fn assert_prepared_matches_reference(block: &BasicBlock, trace: &[DynInst]) {
+        for uarch in [Uarch::ivy_bridge(), Uarch::haswell(), Uarch::skylake()] {
+            let model = TimingModel::new(block.insts(), uarch);
+            let layout = CodeLayout::from_block(block.insts(), 0x40_0000).unwrap();
+            let mut l1i_a = Cache::new(uarch.l1i);
+            let mut l1d_a = Cache::new(uarch.l1d);
+            let mut l1i_b = Cache::new(uarch.l1i);
+            let mut l1d_b = Cache::new(uarch.l1d);
+            let prep = model.prepare(trace, &layout);
+            let mut scratch = SimScratch::default();
+            for pass in ["cold", "warm"] {
+                let reference = model.run_reference(trace, &layout, &mut l1i_b, &mut l1d_b);
+                let split =
+                    model.simulate_with(&prep, trace.len(), &mut l1i_a, &mut l1d_a, &mut scratch);
+                assert_eq!(split, reference, "{pass} pass on {:?}", uarch.kind);
+            }
+        }
+    }
+
     #[test]
     fn prepared_path_matches_reference() {
         // Mixed block: zero idiom, eliminated move, flags, load + store
@@ -2391,65 +2377,41 @@ mod tests {
                     cmp rdx, rax\n\
                     je -0x10";
         let block = parse_block(text).unwrap();
-        for uarch in [Uarch::ivy_bridge(), Uarch::haswell(), Uarch::skylake()] {
-            let model = TimingModel::new(block.insts(), uarch);
-            let layout = CodeLayout::from_block(block.insts(), 0x40_0000).unwrap();
-            let mut trace = Vec::new();
-            for copy in 0..40u32 {
-                for (idx, _) in block.insts().iter().enumerate() {
-                    let mut fx = InstEffects::default();
-                    if idx == 3 {
-                        fx.store = Some(crate::exec::MemAccess {
-                            vaddr: 0x9000 + u64::from(copy) * 8,
-                            paddr: 0x1000 + u64::from(copy) * 8 % 4096,
-                            width: 8,
-                            write: true,
-                        });
-                    }
-                    if idx == 4 {
-                        fx.load = Some(crate::exec::MemAccess {
-                            vaddr: 0x9000 + u64::from(copy) * 8,
-                            paddr: 0x1000 + u64::from(copy) * 8 % 4096,
-                            width: 8,
-                            write: false,
-                        });
-                    }
-                    trace.push(DynInst {
-                        static_idx: idx,
-                        copy,
-                        effects: fx,
-                    });
+        let mut trace = Vec::new();
+        for copy in 0..40u32 {
+            for (idx, _) in block.insts().iter().enumerate() {
+                let access = crate::exec::MemAccess {
+                    vaddr: 0x9000 + u64::from(copy) * 8,
+                    paddr: 0x1000 + u64::from(copy) * 8 % 4096,
+                    width: 8,
+                    write: idx == 3,
+                };
+                let mut fx = InstEffects::default();
+                match idx {
+                    3 => fx.store = Some(access),
+                    4 => fx.load = Some(access),
+                    _ => {}
                 }
-            }
-            let mut l1i_a = Cache::new(uarch.l1i);
-            let mut l1d_a = Cache::new(uarch.l1d);
-            let mut l1i_b = Cache::new(uarch.l1i);
-            let mut l1d_b = Cache::new(uarch.l1d);
-            let prep = model.prepare(&trace, &layout);
-            let mut scratch = SimScratch::default();
-            // Cold then warm: cache state carried identically on both
-            // sides, at every SIMD dispatch tier.
-            for _ in 0..2 {
-                let reference = model.run_reference(&trace, &layout, &mut l1i_b, &mut l1d_b);
-                for &tier in SimdTier::available() {
-                    let mut l1i = l1i_a.clone();
-                    let mut l1d = l1d_a.clone();
-                    let split = model.simulate_with_tier(
-                        &prep,
-                        trace.len(),
-                        &mut l1i,
-                        &mut l1d,
-                        &mut scratch,
-                        tier,
-                    );
-                    assert_eq!(split, reference, "tier {tier:?}");
-                }
-                // Advance the carried state once for the warm pass.
-                let split =
-                    model.simulate_with(&prep, trace.len(), &mut l1i_a, &mut l1d_a, &mut scratch);
-                assert_eq!(split, reference);
+                trace.push(DynInst {
+                    static_idx: idx,
+                    copy,
+                    effects: fx,
+                });
             }
         }
+        assert_prepared_matches_reference(&block, &trace);
+
+        // Deep wake-up calendar: three independent multiplies issue on
+        // back-to-back cycles and each resolves 30 `lea`s at once, so
+        // about 90 wake-ups (uop ids on both sides of a 64-bit
+        // ready-set word) wait in the calendar together.
+        let mut text = String::from("imul rax, rbx\nimul rdx, rbx\nimul rsi, rbx");
+        for i in 0..90 {
+            let src = ["rax", "rdx", "rsi"][i % 3];
+            text.push_str(&format!("\nlea rcx, [{src} + {i}]"));
+        }
+        let block = parse_block(&text).unwrap();
+        assert_prepared_matches_reference(&block, &trace_for(block.len(), 4));
     }
 
     #[test]
@@ -2499,18 +2461,9 @@ mod tests {
 
         let prep = model.prepare(&trace, &layout);
         let mut scratch = SimScratch::default();
-        for &tier in SimdTier::available() {
-            let mut l1i = Cache::new(starved.l1i);
-            let mut l1d = Cache::new(starved.l1d);
-            let split = model.simulate_with_tier(
-                &prep,
-                trace.len(),
-                &mut l1i,
-                &mut l1d,
-                &mut scratch,
-                tier,
-            );
-            assert_eq!(split, reference, "tier {tier:?} error parity");
-        }
+        let mut l1i = Cache::new(starved.l1i);
+        let mut l1d = Cache::new(starved.l1d);
+        let split = model.simulate_with(&prep, trace.len(), &mut l1i, &mut l1d, &mut scratch);
+        assert_eq!(split, reference, "error parity");
     }
 }

@@ -2,16 +2,13 @@
 //! for bit identical to `run_reference`, the retained single-pass
 //! implementation — across random generated blocks, unroll factors, all
 //! shipped microarchitectures, cold and warm caches, prefix replay (the
-//! lo-factor measurement reuses the hi-factor preparation), and every
-//! SIMD dispatch tier the host supports (AVX2 / SSE4.1 / scalar; run
-//! with `BHIVE_SIMD=off` to force-exercise the scalar fallback through
-//! the default entry points too).
+//! lo-factor measurement reuses the hi-factor preparation).
 
 use bhive_asm::fnv1a_64;
 use bhive_corpus::{generate_block, Application};
 use bhive_sim::{
-    Cache, CodeLayout, DynInst, ExecFault, Machine, NoiseConfig, PhysPage, SimScratch, SimdTier,
-    TimingModel, CODE_BASE,
+    Cache, CodeLayout, DynInst, ExecFault, Machine, NoiseConfig, PhysPage, SimScratch, TimingModel,
+    CODE_BASE,
 };
 use bhive_uarch::Uarch;
 use proptest::prelude::*;
@@ -81,35 +78,18 @@ proptest! {
             let ref_cold = model.run_reference(&trace, &layout, &mut ref_l1i, &mut ref_l1d);
             let ref_warm = model.run_reference(&trace, &layout, &mut ref_l1i, &mut ref_l1d);
 
-            // Prepared path: one preparation, two simulations — once via
-            // the process-wide dispatch (honoring BHIVE_SIMD), then
-            // pinned to each tier the host supports.
+            // Prepared path: one preparation, two simulations sharing one
+            // scratch, as the profiler replays them.
             let prep = model.prepare(&trace, &layout);
             let mut l1i = Cache::new(uarch.l1i);
             let mut l1d = Cache::new(uarch.l1d);
-            let cold = model.simulate(&prep, &mut l1i, &mut l1d);
-            let warm = model.simulate(&prep, &mut l1i, &mut l1d);
+            let mut scratch = SimScratch::default();
+            let n = trace.len();
+            let cold = model.simulate_with(&prep, n, &mut l1i, &mut l1d, &mut scratch);
+            let warm = model.simulate_with(&prep, n, &mut l1i, &mut l1d, &mut scratch);
 
             prop_assert_eq!(cold, ref_cold, "cold divergence on {:?}", uarch.kind);
             prop_assert_eq!(warm, ref_warm, "warm divergence on {:?}", uarch.kind);
-
-            for &tier in SimdTier::available() {
-                let mut l1i = Cache::new(uarch.l1i);
-                let mut l1d = Cache::new(uarch.l1d);
-                let mut scratch = SimScratch::default();
-                let cold = model.simulate_with_tier(
-                    &prep, trace.len(), &mut l1i, &mut l1d, &mut scratch, tier,
-                );
-                let warm = model.simulate_with_tier(
-                    &prep, trace.len(), &mut l1i, &mut l1d, &mut scratch, tier,
-                );
-                prop_assert_eq!(
-                    cold, ref_cold, "cold divergence on {:?} tier {:?}", uarch.kind, tier
-                );
-                prop_assert_eq!(
-                    warm, ref_warm, "warm divergence on {:?} tier {:?}", uarch.kind, tier
-                );
-            }
         }
     }
 

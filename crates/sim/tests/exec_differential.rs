@@ -6,10 +6,6 @@
 //! state and memory afterwards. Exercised across random generated blocks
 //! from every application profile, all three shipped microarchitectures,
 //! fault-free and faulting executions, and both harness unroll factors.
-//!
-//! The tier-1 script runs this suite twice — natively and with
-//! `BHIVE_SIMD=off` — since the lowered kernels feed the same
-//! dispatch-sensitive downstream consumers as the reference ones.
 
 use bhive_asm::fnv1a_64;
 use bhive_corpus::{generate_block, Application};

@@ -9,14 +9,6 @@ cargo build --release
 # crate under crates/, so this runs every member's unit, integration
 # and doc tests (the vendored dependency subsets are left out).
 cargo test -q
-# The two differential suites again with the scalar fallback forced, so
-# the SIMD tier the host happens to support never hides a divergence in
-# the portable path. (Each suite additionally pins every *available*
-# tier per case.) The executor suite checks the predecoded `ExecOp` path
-# against the retained reference interpreter at both harness unroll
-# factors.
-BHIVE_SIMD=off cargo test -q -p bhive-sim --test differential
-BHIVE_SIMD=off cargo test -q -p bhive-sim --test exec_differential
 cargo build --examples
 # CLI smoke: a supervised run with a retry budget exits 0 and reports.
 cargo run -q --release -p bhive -- profile --retries 2 <<'EOF'

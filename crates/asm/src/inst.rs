@@ -274,13 +274,6 @@ impl Mnemonic {
         )
     }
 
-    /// True if the instruction performs floating-point arithmetic whose
-    /// latency is sensitive to subnormal inputs/outputs.
-    pub fn is_fp_arith(self) -> bool {
-        use MnemonicClass::*;
-        matches!(self.class(), FpAdd | FpMul | Fma | FpDiv | FpSqrt | FpCvt)
-    }
-
     /// True if the mnemonic's memory operand is address-only: the
     /// address is computed but never accessed, so it carries no
     /// meaningful access width. Everything keyed on this property —

@@ -128,14 +128,6 @@ impl ProbeBattery {
     pub fn is_empty(&self) -> bool {
         self.probes.is_empty()
     }
-
-    /// Probes whose key set is exactly `{key}` — self-contained
-    /// evidence about a single entry.
-    pub fn solo_probes<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a Probe> + 'a {
-        self.probes
-            .iter()
-            .filter(move |p| p.keys.len() == 1 && p.keys[0] == key)
-    }
 }
 
 // Destination register slots. Slots 0–1 belong to the mix target,

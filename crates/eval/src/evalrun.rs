@@ -166,15 +166,6 @@ impl EvalRun {
             .map(|(cat, pairs)| (cat, stats::mean_relative_error(pairs)))
             .collect()
     }
-
-    /// Number of handled blocks per category (for significance notes).
-    pub fn per_category_count(&self) -> BTreeMap<Category, usize> {
-        let mut out = BTreeMap::new();
-        for (p, _) in self.predicted_pairs() {
-            *out.entry(p.category).or_insert(0) += 1;
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -64,16 +64,20 @@
 //! immutable once written, so a lock-free scan that stops at the first
 //! invalid line is always sound.
 
+use crate::chaos::ChaosInjector;
 use crate::config::ProfileConfig;
 use crate::failure::ProfileFailure;
 use crate::measurement::Measurement;
+use crate::obs::{EventBuffer, TraceEvent};
 use bhive_asm::fnv1a_64;
 use bhive_uarch::{Uarch, UarchKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::ops::DerefMut;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 #[cfg(unix)]
 mod flock {
@@ -301,14 +305,6 @@ pub enum CachedOutcome {
 impl CachedOutcome {
     /// Converts back into the profiler's result type.
     pub fn into_result(self) -> Result<Measurement, ProfileFailure> {
-        match self {
-            CachedOutcome::Ok(m) => Ok(m),
-            CachedOutcome::Err(f) => Err(f),
-        }
-    }
-
-    /// Borrows as the profiler's result type.
-    pub fn as_result(&self) -> Result<&Measurement, &ProfileFailure> {
         match self {
             CachedOutcome::Ok(m) => Ok(m),
             CachedOutcome::Err(f) => Err(f),
@@ -570,6 +566,74 @@ impl CacheStats {
         self.stale_evictions += other.stale_evictions;
         self.write_errors += other.write_errors;
         self.degraded |= other.degraded;
+    }
+}
+
+/// The cache-write rule batch runs and the daemon share: transient
+/// outcomes are never written, and the first write error — real, or
+/// injected by the chaos plan at write ordinal *n* — degrades the
+/// writer to cache-off for the rest of the run, recording the wall
+/// events [`TraceEvent::CacheWriteError`] and
+/// [`TraceEvent::CacheDegraded`]. The state is atomic so the daemon
+/// reads [`CacheWriter::is_degraded`] without a lock; `Relaxed` suffices
+/// because [`CacheWriter::persist`] runs under the `&mut` borrow of the
+/// cache, which serializes the writes, and the flag publishes no data.
+#[derive(Debug, Default)]
+pub struct CacheWriter {
+    writes: AtomicUsize,
+    degraded: AtomicBool,
+}
+
+impl CacheWriter {
+    /// True once a write error has turned the writer off.
+    pub fn is_degraded(&self) -> bool {
+        self.degraded.load(Ordering::Relaxed)
+    }
+
+    /// Appends one finalized outcome to `cache` under `key` (a no-op
+    /// without a cache, after degradation, or for a transient outcome).
+    /// `unique` addresses the work item in the trace: the unique-block
+    /// index in batch runs, the request ordinal in the daemon. `obs`
+    /// yields the trace buffer and is called only on the failure path,
+    /// so a caller that must lock its buffer pays for the lock only
+    /// then. Returns true when this write degraded the writer.
+    pub fn persist<B: DerefMut<Target = EventBuffer>>(
+        &self,
+        cache: Option<&mut MeasurementCache>,
+        key: u64,
+        outcome: &Result<Measurement, ProfileFailure>,
+        unique: usize,
+        chaos: Option<&ChaosInjector>,
+        obs: impl FnOnce() -> Option<B>,
+    ) -> bool {
+        let Some(cache) = cache else {
+            return false;
+        };
+        if self.is_degraded() || outcome.as_ref().is_err_and(ProfileFailure::is_transient) {
+            return false;
+        }
+        let ordinal = self.writes.fetch_add(1, Ordering::Relaxed);
+        let injected = chaos.is_some_and(|c| c.fail_cache_write(ordinal));
+        let written = if injected {
+            Err(std::io::Error::other("chaos: injected cache-write error"))
+        } else {
+            cache.insert(key, outcome.clone().into())
+        };
+        if written.is_ok() {
+            return false;
+        }
+        // Write ordinals are completion-ordered, so both events belong
+        // to the wall section, never the deterministic merge.
+        if let Some(mut buf) = obs() {
+            buf.emit_wall(TraceEvent::CacheWriteError {
+                ordinal,
+                unique,
+                injected,
+            });
+            buf.emit_wall(TraceEvent::CacheDegraded { ordinal });
+        }
+        self.degraded.store(true, Ordering::Relaxed);
+        true
     }
 }
 

@@ -96,14 +96,6 @@ impl FaultPlan {
         self
     }
 
-    /// Mark the `request`-th admitted request as part of a concurrent
-    /// overload burst.
-    #[must_use]
-    pub fn burst_at(mut self, request: usize) -> FaultPlan {
-        self.bursts.insert(request);
-        self
-    }
-
     /// Mark requests `first..first + len` as one overload burst.
     #[must_use]
     pub fn burst_of(mut self, first: usize, len: usize) -> FaultPlan {

@@ -70,9 +70,13 @@ mod profiler;
 mod retry;
 pub mod shard;
 
+/// The simulated machine [`profile_attempts`] and
+/// [`Profiler::profile_attempt`] run on, re-exported so callers can own
+/// one without depending on `bhive-sim`.
+pub use bhive_sim::Machine;
 pub use cache::{
-    binding_fingerprint, cache_key, CacheOpenReport, CacheStats, CachedOutcome, JsonlRecovery,
-    MeasurementCache,
+    binding_fingerprint, cache_key, CacheOpenReport, CacheStats, CacheWriter, CachedOutcome,
+    JsonlRecovery, MeasurementCache,
 };
 pub use chaos::{ChaosInjector, ChaosStats, FaultPlan};
 pub use config::{PageMapping, ProfileConfig, UnrollStrategy};
@@ -84,8 +88,8 @@ pub use obs::{
     RunReport, TraceEvent, TraceLine, TraceLog,
 };
 pub use parallel::{
-    profile_corpus, profile_corpus_cached, profile_corpus_supervised, CorpusReport, ProfileStats,
-    Supervision, WorkerStats,
+    profile_attempts, profile_corpus, profile_corpus_cached, profile_corpus_supervised,
+    AttemptChain, CorpusReport, ProfileStats, Supervision, WorkerStats,
 };
 pub use profiler::Profiler;
 pub use retry::{BreakerConfig, BreakerState, BreakerTrip, CircuitBreaker, RetryPolicy};

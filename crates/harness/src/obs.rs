@@ -47,7 +47,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// Default per-worker ring capacity: ~64k events comfortably covers a
+/// Per-recorder ring capacity: ~64k events comfortably covers a
 /// 1.1k-block corpus with retries on a single worker.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
@@ -57,10 +57,9 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 /// measurement is, so it stays out of the config fingerprint.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsConfig {
-    /// Record events and metrics for this run.
+    /// Record events and metrics for this run, each recorder into a
+    /// ring of [`DEFAULT_RING_CAPACITY`] events.
     pub enabled: bool,
-    /// Per-worker event-ring capacity (0 = [`DEFAULT_RING_CAPACITY`]).
-    pub ring_capacity: usize,
     /// A torn-tail recovery reported by [`TraceLog::open`] on the log
     /// this run will append to; recorded as the run's
     /// [`TraceEvent::TraceRecovered`] preamble event.
@@ -68,20 +67,11 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Observability on, default capacity.
+    /// Observability on.
     pub fn on() -> ObsConfig {
         ObsConfig {
             enabled: true,
             ..ObsConfig::default()
-        }
-    }
-
-    /// The effective ring capacity.
-    pub fn capacity(&self) -> usize {
-        if self.ring_capacity == 0 {
-            DEFAULT_RING_CAPACITY
-        } else {
-            self.ring_capacity
         }
     }
 }
@@ -865,6 +855,11 @@ impl EventBuffer {
     /// Deterministic events dropped from this ring so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// The deterministic metrics recorded so far.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 }
 

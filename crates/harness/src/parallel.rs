@@ -32,23 +32,26 @@
 //! trace buffer — see `bhive_sim::machine`), so after the first few
 //! blocks a worker's steady state is allocation-free apart from
 //! block-size growth; the speedup in EXPERIMENTS.md "Pipeline speedup"
-//! is amortized across the whole corpus by this reuse. A panic while
-//! profiling one block is caught, recorded as
+//! is amortized across the whole corpus by this reuse. Both phases run
+//! their attempts through one chain, [`profile_attempts`], which the
+//! `bhive serve` workers and [`Profiler::profile`] (which re-raises) share:
+//! a panic while profiling one block is caught, recorded as
 //! [`ProfileFailure::Panic`], and the worker's machine is *quarantined* —
 //! replaced with a freshly built one, since its state is unknown
 //! mid-panic — rather than aborting the run. Results flow back over a
-//! channel (no shared mutex).
+//! channel (no shared mutex), and finalized outcomes reach the disk log
+//! through one [`CacheWriter`].
 //!
 //! Fault injection for the chaos test suite threads through
 //! [`Supervision::chaos`]; see [`crate::chaos`].
 
-use crate::cache::{CacheStats, MeasurementCache};
+use crate::cache::{CacheStats, CacheWriter, MeasurementCache};
 use crate::chaos::{ChaosInjector, ChaosStats};
 use crate::failure::ProfileFailure;
 use crate::measurement::Measurement;
 use crate::obs::{
     BucketLayout, EventBuffer, ObsConfig, Quantiles, RunObs, RunReport, TraceEvent,
-    RUN_REPORT_SCHEMA,
+    DEFAULT_RING_CAPACITY, RUN_REPORT_SCHEMA,
 };
 use crate::profiler::Profiler;
 use crate::retry::{BreakerConfig, BreakerTrip, CircuitBreaker, RetryPolicy};
@@ -56,6 +59,7 @@ use bhive_asm::BasicBlock;
 use bhive_sim::Machine;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -596,7 +600,7 @@ pub fn profile_corpus_supervised(
     };
     let chaos = supervision.chaos.as_ref();
     let retries = profiler.config().retry.retries;
-    let ring = supervision.obs.enabled.then(|| supervision.obs.capacity());
+    let ring = supervision.obs.enabled.then_some(DEFAULT_RING_CAPACITY);
     // The main thread records the run-level preamble (recovery note,
     // cache open), the submission-ordered lookup events, the breaker
     // verdict, and the wall-section cache-write events.
@@ -688,8 +692,39 @@ pub fn profile_corpus_supervised(
     // deferred for the breaker verdict.
     let worker_count = threads.min(pending.len());
     let mut first: Vec<Option<Result<Measurement, ProfileFailure>>> = vec![None; pending.len()];
-    let mut write_ordinal = 0usize;
+    let writer = CacheWriter::default();
     let stop = supervision.stop.as_deref();
+    // One work item of either phase: a unique block's attempt chain,
+    // timed and counted on the worker that runs it.
+    let measure = |unique: usize,
+                   attempts: RangeInclusive<u32>,
+                   machine: &mut Machine,
+                   stats: &mut WorkerStats,
+                   obs: &mut Option<EventBuffer>| {
+        if let Some(buf) = obs.as_mut() {
+            let attempt = *attempts.start();
+            buf.emit(TraceEvent::Dequeue { unique, attempt });
+        }
+        let claimed = Instant::now();
+        let block = &blocks[unique_rep[unique]];
+        let chain = profile_attempts(
+            profiler,
+            block,
+            machine,
+            attempts,
+            unique,
+            chaos,
+            obs.as_mut(),
+        );
+        let spent = claimed.elapsed();
+        stats.busy += spent;
+        stats.panics += chain.panics;
+        stats.quarantined += chain.panics;
+        if let Some(buf) = obs.as_mut() {
+            buf.observe_wall("work.latency-ns", WORK_LATENCY_NS, spent.as_nanos() as u64);
+        }
+        chain
+    };
     let (phase_a, mut worker_buffers) = run_workers(
         profiler,
         worker_count,
@@ -697,20 +732,9 @@ pub fn profile_corpus_supervised(
         ring,
         stop,
         |slot, machine, stats, obs| {
-            let unique = pending[slot];
-            let block = &blocks[unique_rep[unique]];
-            if let Some(buf) = obs.as_mut() {
-                buf.emit(TraceEvent::Dequeue { unique, attempt: 0 });
-            }
-            let claimed = Instant::now();
-            let outcome = attempt_block(profiler, block, unique, 0, machine, stats, chaos, obs);
-            let spent = claimed.elapsed();
-            stats.busy += spent;
             stats.profiled += 1;
-            if let Some(buf) = obs.as_mut() {
-                buf.observe_wall("work.latency-ns", WORK_LATENCY_NS, spent.as_nanos() as u64);
-            }
-            (slot, outcome)
+            let chain = measure(pending[slot], 0..=0, machine, stats, obs);
+            (slot, chain.outcome)
         },
         |(slot, outcome)| {
             let deferred = retries > 0 && matches!(&outcome, Err(f) if f.is_transient());
@@ -722,9 +746,8 @@ pub fn profile_corpus_supervised(
                     &fanout,
                     &mut results,
                     &mut cache,
-                    &mut disk,
+                    &writer,
                     chaos,
-                    &mut write_ordinal,
                     &mut main_buf,
                 );
             }
@@ -773,9 +796,8 @@ pub fn profile_corpus_supervised(
                     &fanout,
                     &mut results,
                     &mut cache,
-                    &mut disk,
+                    &writer,
                     chaos,
-                    &mut write_ordinal,
                     &mut main_buf,
                 );
             }
@@ -789,45 +811,8 @@ pub fn profile_corpus_supervised(
                 stop,
                 |dslot, machine, stats, obs| {
                     let slot = deferred[dslot];
-                    let unique = pending[slot];
-                    let block = &blocks[unique_rep[unique]];
-                    if let Some(buf) = obs.as_mut() {
-                        buf.emit(TraceEvent::Dequeue { unique, attempt: 1 });
-                    }
-                    let claimed = Instant::now();
-                    let mut attempts_used = 0u32;
-                    let mut outcome = None;
-                    for attempt in 1..=retries {
-                        attempts_used += 1;
-                        if let Some(buf) = obs.as_mut() {
-                            buf.emit(TraceEvent::RetryEscalation {
-                                unique,
-                                attempt,
-                                trials: RetryPolicy::trials_for(attempt, profiler.config().trials),
-                            });
-                            buf.add("retry.attempts", 1);
-                            buf.gauge_max("retry.max-attempt", u64::from(attempt));
-                        }
-                        let out = attempt_block(
-                            profiler, block, unique, attempt, machine, stats, chaos, obs,
-                        );
-                        let transient = matches!(&out, Err(f) if f.is_transient());
-                        outcome = Some(out);
-                        if !transient {
-                            break;
-                        }
-                    }
-                    let spent = claimed.elapsed();
-                    stats.busy += spent;
-                    if let Some(buf) = obs.as_mut() {
-                        buf.observe_wall(
-                            "work.latency-ns",
-                            WORK_LATENCY_NS,
-                            spent.as_nanos() as u64,
-                        );
-                    }
-                    let outcome = outcome.expect("retries >= 1 runs at least one attempt");
-                    (slot, outcome, attempts_used)
+                    let chain = measure(pending[slot], 1..=retries, machine, stats, obs);
+                    (slot, chain.outcome, chain.attempts)
                 },
                 |(slot, outcome, attempts_used): (usize, _, u32)| {
                     retry_attempts += attempts_used as usize;
@@ -841,9 +826,8 @@ pub fn profile_corpus_supervised(
                         &fanout,
                         &mut results,
                         &mut cache,
-                        &mut disk,
+                        &writer,
                         chaos,
-                        &mut write_ordinal,
                         &mut main_buf,
                     );
                 },
@@ -867,9 +851,11 @@ pub fn profile_corpus_supervised(
 
     // Stale records (older config fingerprints, legacy transients) were
     // skipped at open; reclaim their log space now that the run is over.
-    // A cache degraded mid-run is already `None` here, so a failing disk
-    // is never touched again.
-    if let Some(cache) = cache {
+    // A cache degraded mid-run is never touched again.
+    if writer.is_degraded() {
+        disk.write_errors += 1;
+        disk.degraded = true;
+    } else if let Some(cache) = cache {
         if cache.stale_on_disk() > 0 && cache.compact().is_err() {
             disk.write_errors += 1;
         }
@@ -942,118 +928,156 @@ pub fn profile_corpus_supervised(
     CorpusReport { results, stats }
 }
 
-/// One profiling attempt under supervision: consults the fault injector,
-/// catches panics (real or injected), and quarantines the worker's
-/// machine after one — its state is unknown mid-panic, so it is replaced
-/// with a freshly built machine rather than recycled.
-///
-/// When observed, the attempt traces its whole lifecycle — start,
-/// profiler-stage events (page mappings, measurement), quarantine, and
-/// the accept/failure verdict — into the worker's buffer, and folds the
-/// deterministic quantities (cycle counts, simulated perf counters,
-/// failure categories) into its metrics.
-#[allow(clippy::too_many_arguments)]
-fn attempt_block(
-    profiler: &Profiler,
-    block: &BasicBlock,
-    unique: usize,
-    attempt: u32,
-    machine: &mut Machine,
-    stats: &mut WorkerStats,
-    chaos: Option<&ChaosInjector>,
-    obs: &mut Option<EventBuffer>,
-) -> Result<Measurement, ProfileFailure> {
-    if let Some(buf) = obs.as_mut() {
-        buf.emit(TraceEvent::AttemptStart {
-            unique,
-            attempt,
-            trials: RetryPolicy::trials_for(attempt, profiler.config().trials),
-        });
-        buf.add("attempts.total", 1);
-    }
-    let lower_before = machine.lower_stats();
-    let forced = chaos.is_some_and(|c| c.forces_transient(unique, attempt));
-    let outcome = if forced {
-        Err(ProfileFailure::Unreproducible {
-            clean: 0,
-            identical: 0,
-            required: profiler.config().min_clean_identical,
-        })
-    } else {
-        catch_unwind(AssertUnwindSafe(|| {
-            if let Some(chaos) = chaos {
-                chaos.panic_if_planned(unique, attempt);
-            }
-            match obs.as_mut() {
-                Some(buf) => profiler.profile_attempt_observed(block, machine, attempt, &mut |e| {
-                    buf.attempt_event(unique, attempt, e)
-                }),
-                None => profiler.profile_attempt(block, machine, attempt),
-            }
-        }))
-        .unwrap_or_else(|payload| {
-            stats.panics += 1;
-            stats.quarantined += 1;
-            *machine = Machine::new(profiler.uarch(), 0);
-            if let Some(buf) = obs.as_mut() {
-                buf.emit(TraceEvent::Quarantine { unique, attempt });
-                buf.add("machines.quarantined", 1);
-            }
-            Err(ProfileFailure::Panic {
-                message: panic_message(payload.as_ref()),
-            })
-        })
-    };
-    if let Some(buf) = obs.as_mut() {
-        // Lowering-cache traffic is wall-section material: whether this
-        // attempt's first lookup hits depends on which block this worker
-        // profiled last, i.e. on scheduling, not on the corpus.
-        // `saturating_sub` because a quarantine replaced the machine —
-        // and its counters — with fresh zeros mid-attempt.
-        let lower = machine.lower_stats();
-        buf.add_wall(
-            "sim.lower.hit",
-            lower.hits.saturating_sub(lower_before.hits),
-        );
-        buf.add_wall(
-            "sim.lower.miss",
-            lower.misses.saturating_sub(lower_before.misses),
-        );
-        match &outcome {
-            Ok(m) => {
-                buf.emit(TraceEvent::Accept {
-                    unique,
-                    attempt,
-                    throughput: m.throughput,
-                });
-                buf.add("attempts.accepted", 1);
-                buf.observe("accept.cycles", ACCEPT_CYCLES, m.hi.accepted_cycles);
-                for ((_, value), prefixed) in m.hi.counters.snapshot().iter().zip(SIM_COUNTERS) {
-                    buf.add(prefixed, *value);
-                }
-            }
-            Err(failure) => {
-                buf.emit(TraceEvent::AttemptFailed {
-                    unique,
-                    attempt,
-                    class: failure.class().to_string(),
-                    category: failure.category().to_string(),
-                });
-                buf.add(&format!("failures.{}", failure.category()), 1);
-            }
-        }
-    }
-    outcome
+/// What one attempt chain ([`profile_attempts`]) did.
+#[derive(Debug)]
+pub struct AttemptChain {
+    /// The last attempt's outcome.
+    pub outcome: Result<Measurement, ProfileFailure>,
+    /// Attempts run.
+    pub attempts: u32,
+    /// Panics caught; each one quarantined the machine.
+    pub panics: usize,
 }
 
-/// Finalizes one unique block's outcome: persists it to the disk log
-/// (successes and permanent failures only — transient failures must be
-/// retried by the next run, so they are never written) and fans it out to
-/// every duplicate position.
+/// The supervised attempt chain every measurement runs through (batch
+/// phases A and B, the `bhive serve` workers, [`Profiler::profile`]):
+/// runs the `attempts` of `block` in order on the caller-owned
+/// `machine`, stopping at the first outcome a retry cannot change.
 ///
-/// The first cache-write error — real, or injected by the chaos plan —
-/// degrades the rest of the run to cache-off: the cache option is taken,
-/// [`CacheStats::degraded`] is set, and measurement continues.
+/// Each attempt consults the fault injector at `unique` (the unique-block
+/// index in batch runs, the request ordinal in the daemon), catches
+/// panics — real or injected — as [`ProfileFailure::Panic`], and
+/// quarantines the machine after one: its state is unknown mid-panic,
+/// so it is replaced with a freshly built machine rather than recycled.
+/// When `obs` is given, every attempt traces its lifecycle into it and
+/// folds the deterministic quantities (cycle counts, simulated perf
+/// counters, failure categories) into its metrics.
+///
+/// # Panics
+///
+/// Panics if `attempts` is empty.
+pub fn profile_attempts(
+    profiler: &Profiler,
+    block: &BasicBlock,
+    machine: &mut Machine,
+    attempts: RangeInclusive<u32>,
+    unique: usize,
+    chaos: Option<&ChaosInjector>,
+    mut obs: Option<&mut EventBuffer>,
+) -> AttemptChain {
+    assert!(!attempts.is_empty(), "an attempt chain runs at least once");
+    let mut chain = AttemptChain {
+        outcome: Err(ProfileFailure::Interrupted),
+        attempts: 0,
+        panics: 0,
+    };
+    for attempt in attempts {
+        let trials = RetryPolicy::trials_for(attempt, profiler.config().trials);
+        if let Some(buf) = obs.as_deref_mut() {
+            if attempt > 0 {
+                buf.emit(TraceEvent::RetryEscalation {
+                    unique,
+                    attempt,
+                    trials,
+                });
+                buf.add("retry.attempts", 1);
+                buf.gauge_max("retry.max-attempt", u64::from(attempt));
+            }
+            buf.emit(TraceEvent::AttemptStart {
+                unique,
+                attempt,
+                trials,
+            });
+            buf.add("attempts.total", 1);
+        }
+        chain.attempts += 1;
+        let lower_before = machine.lower_stats();
+        let forced = chaos.is_some_and(|c| c.forces_transient(unique, attempt));
+        let outcome = if forced {
+            Err(ProfileFailure::Unreproducible {
+                clean: 0,
+                identical: 0,
+                required: profiler.config().min_clean_identical,
+            })
+        } else {
+            catch_unwind(AssertUnwindSafe(|| {
+                if let Some(chaos) = chaos {
+                    chaos.panic_if_planned(unique, attempt);
+                }
+                match obs.as_deref_mut() {
+                    Some(buf) => {
+                        profiler.profile_attempt_observed(block, machine, attempt, &mut |e| {
+                            buf.attempt_event(unique, attempt, e)
+                        })
+                    }
+                    None => profiler.profile_attempt(block, machine, attempt),
+                }
+            }))
+            .unwrap_or_else(|payload| {
+                chain.panics += 1;
+                *machine = Machine::new(profiler.uarch(), 0);
+                if let Some(buf) = obs.as_deref_mut() {
+                    buf.emit(TraceEvent::Quarantine { unique, attempt });
+                    buf.add("machines.quarantined", 1);
+                }
+                Err(ProfileFailure::Panic {
+                    message: panic_message(payload.as_ref()),
+                })
+            })
+        };
+        if let Some(buf) = obs.as_deref_mut() {
+            // Lowering-cache traffic is wall-section material: whether this
+            // attempt's first lookup hits depends on which block this worker
+            // profiled last, i.e. on scheduling, not on the corpus.
+            // `saturating_sub` because a quarantine replaced the machine —
+            // and its counters — with fresh zeros mid-attempt.
+            let lower = machine.lower_stats();
+            buf.add_wall(
+                "sim.lower.hit",
+                lower.hits.saturating_sub(lower_before.hits),
+            );
+            buf.add_wall(
+                "sim.lower.miss",
+                lower.misses.saturating_sub(lower_before.misses),
+            );
+            match &outcome {
+                Ok(m) => {
+                    buf.emit(TraceEvent::Accept {
+                        unique,
+                        attempt,
+                        throughput: m.throughput,
+                    });
+                    buf.add("attempts.accepted", 1);
+                    buf.observe("accept.cycles", ACCEPT_CYCLES, m.hi.accepted_cycles);
+                    for ((_, value), prefixed) in m.hi.counters.snapshot().iter().zip(SIM_COUNTERS)
+                    {
+                        buf.add(prefixed, *value);
+                    }
+                }
+                Err(failure) => {
+                    buf.emit(TraceEvent::AttemptFailed {
+                        unique,
+                        attempt,
+                        class: failure.class().to_string(),
+                        category: failure.category().to_string(),
+                    });
+                    buf.add(&format!("failures.{}", failure.category()), 1);
+                }
+            }
+        }
+        let transient = outcome.as_ref().is_err_and(ProfileFailure::is_transient);
+        chain.outcome = outcome;
+        if !transient {
+            break;
+        }
+    }
+    chain
+}
+
+/// Finalizes one unique block's outcome: persists it through the run's
+/// [`CacheWriter`] (which never writes transient failures and degrades
+/// the rest of the run to cache-off on its first write error) and fans
+/// it out to every duplicate position.
 #[allow(clippy::too_many_arguments)]
 fn finalize_outcome(
     unique: usize,
@@ -1062,42 +1086,20 @@ fn finalize_outcome(
     fanout: &[Vec<usize>],
     results: &mut [Option<Result<Measurement, ProfileFailure>>],
     cache: &mut Option<&mut MeasurementCache>,
-    disk: &mut CacheStats,
+    writer: &CacheWriter,
     chaos: Option<&ChaosInjector>,
-    write_ordinal: &mut usize,
     obs: &mut Option<EventBuffer>,
 ) {
-    let persistable = match outcome {
-        Ok(_) => true,
-        Err(failure) => !failure.is_transient(),
-    };
-    if persistable {
-        if let Some(live) = cache.as_deref_mut() {
-            let nth = *write_ordinal;
-            *write_ordinal += 1;
-            let injected = chaos.is_some_and(|c| c.fail_cache_write(nth));
-            let written = if injected {
-                Err(std::io::Error::other("chaos: injected cache-write error"))
-            } else {
-                live.insert(unique_keys[unique], outcome.clone().into())
-            };
-            if written.is_err() {
-                // Write ordinals are completion-ordered, so these two
-                // events belong to the wall section, never the
-                // deterministic merge.
-                if let Some(buf) = obs.as_mut() {
-                    buf.emit_wall(TraceEvent::CacheWriteError {
-                        ordinal: nth,
-                        unique,
-                        injected,
-                    });
-                    buf.emit_wall(TraceEvent::CacheDegraded { ordinal: nth });
-                }
-                disk.write_errors += 1;
-                disk.degraded = true;
-                *cache = None;
-            }
-        }
+    // Uncached runs compute no keys.
+    if let Some(&key) = unique_keys.get(unique) {
+        writer.persist(
+            cache.as_deref_mut(),
+            key,
+            outcome,
+            unique,
+            chaos,
+            move || obs.as_mut(),
+        );
     }
     for &idx in &fanout[unique] {
         results[idx] = Some(outcome.clone());

@@ -52,58 +52,38 @@ impl Profiler {
     }
 
     /// Measures the steady-state throughput of one basic block, running
-    /// the full pipeline described in the crate documentation.
-    ///
-    /// Constructs a fresh [`Machine`] per call. For corpus runs, keep a
-    /// machine alive and use [`Profiler::profile_with`] instead — the
-    /// results are bit-identical and the page allocations are reused.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProfileFailure`] describing why the block could not be
-    /// profiled (crash, unmappable address, invariant violation,
-    /// unreproducible timings, misaligned accesses, ...).
-    pub fn profile(&self, block: &BasicBlock) -> Result<Measurement, ProfileFailure> {
-        let mut machine = Machine::new(self.uarch, 0);
-        self.profile_with(block, &mut machine)
-    }
-
-    /// Like [`Profiler::profile`], but recycles a caller-owned machine
-    /// instead of constructing one, so page-table and page allocations
-    /// carry over between blocks.
+    /// the full pipeline described in the crate documentation on a fresh
+    /// [`Machine`].
     ///
     /// When the configuration allows retries
     /// ([`ProfileConfig::with_retries`]), a transient failure
     /// ([`ProfileFailure::is_transient`]) is re-attempted with an
     /// escalating trial count and a fresh deterministic noise seed (see
     /// [`Profiler::profile_attempt`]); permanent failures return
-    /// immediately. The whole chain is a pure function of
-    /// (block bytes, uarch, config) — never of which worker or in which
-    /// order a block is profiled.
+    /// immediately. The retries are the attempt chain corpus runs and the
+    /// daemon use ([`crate::profile_attempts`]). The whole chain is a
+    /// pure function of (block bytes, uarch, config).
     ///
     /// # Panics
     ///
-    /// Panics if `machine` models a different microarchitecture than this
-    /// profiler.
+    /// Panics if any attempt panics. The chain contains panics for its
+    /// supervised callers; a direct call re-raises one, so a profiler
+    /// bug fails loudly instead of reading as a failure category.
     ///
     /// # Errors
     ///
-    /// Same contract as [`Profiler::profile`]; the error is the *last*
+    /// Returns a [`ProfileFailure`] describing why the block could not be
+    /// profiled (crash, unmappable address, invariant violation,
+    /// unreproducible timings, misaligned accesses, ...): the *last*
     /// attempt's failure.
-    pub fn profile_with(
-        &self,
-        block: &BasicBlock,
-        machine: &mut Machine,
-    ) -> Result<Measurement, ProfileFailure> {
-        let mut attempt = 0;
-        loop {
-            let outcome = self.profile_attempt(block, machine, attempt);
-            match &outcome {
-                Err(failure) if failure.is_transient() && attempt < self.config.retry.retries => {
-                    attempt += 1;
-                }
-                _ => return outcome,
-            }
+    pub fn profile(&self, block: &BasicBlock) -> Result<Measurement, ProfileFailure> {
+        let mut machine = Machine::new(self.uarch, 0);
+        let attempts = 0..=self.config.retry.retries;
+        let chain = crate::profile_attempts(self, block, &mut machine, attempts, 0, None, None);
+        match chain.outcome {
+            Err(ProfileFailure::Panic { message }) => panic!("{message}"),
+            _ if chain.panics > 0 => panic!("the profiler panicked on an earlier attempt"),
+            outcome => outcome,
         }
     }
 

@@ -50,12 +50,6 @@ impl McaModel {
         }
     }
 
-    /// Overrides the table-noise strength (used by calibration tests).
-    pub fn with_strength(mut self, strength: f64) -> McaModel {
-        self.strength = strength;
-        self
-    }
-
     /// Schedules `block` on this model's recipes, or `None` when the
     /// tool cannot analyze it.
     fn run(&self, block: &BasicBlock) -> Option<Run> {

@@ -40,12 +40,6 @@ impl OsacaModel {
         }
     }
 
-    /// Overrides the table-noise strength (used by calibration tests).
-    pub fn with_strength(mut self, strength: f64) -> OsacaModel {
-        self.strength = strength;
-        self
-    }
-
     /// The parser gap: immediate-to-memory forms parse as nops.
     fn parses_as_nop(inst: &Inst) -> bool {
         inst.mem_operand_index() == Some(0)

@@ -16,9 +16,10 @@
 //!   cached *permanent failures* (a block that crashes deterministically
 //!   answers `failed` instantly instead of re-crashing a worker);
 //! * **cold misses** are measured by a bounded worker pool through the
-//!   exact same supervised pipeline as batch runs — same retries, same
-//!   breaker semantics, same cache records — so a block measured by the
-//!   server and one measured by `bhive measure` are bit-identical.
+//!   batch pipeline's own attempt chain and cache writer — same
+//!   retries, same panic containment, same chaos sites, same cache
+//!   records — so a block measured by the server and one measured by
+//!   `bhive measure` are bit-identical.
 //!
 //! The serving layer's own failure handling mirrors the harness's
 //! philosophy ([`bhive_harness::RequestFailure`] beside

@@ -28,10 +28,12 @@
 use crate::admission::ClientLimiter;
 use crate::protocol::{self, HealthCounters, PredictRequest, Request, SCHEMA};
 use bhive_asm::BasicBlock;
+use bhive_harness::obs::DEFAULT_RING_CAPACITY;
 use bhive_harness::{
-    interrupt, BreakerConfig, BreakerState, BucketLayout, CachedOutcome, ChaosInjector,
-    CircuitBreaker, EventBuffer, Measurement, MeasurementCache, ObsConfig, ProfileConfig,
-    ProfileFailure, Profiler, RequestFailure, RunObs, TraceEvent,
+    interrupt, profile_attempts, BreakerConfig, BreakerState, BucketLayout, CacheWriter,
+    CachedOutcome, ChaosInjector, CircuitBreaker, EventBuffer, Machine, Measurement,
+    MeasurementCache, Metrics, ProfileConfig, ProfileFailure, Profiler, RequestFailure, RunObs,
+    TraceEvent,
 };
 use bhive_uarch::UarchKind;
 use std::collections::VecDeque;
@@ -39,7 +41,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -84,11 +86,9 @@ pub struct ServeConfig {
     pub retry_after: Duration,
     /// Run-health breaker over worker measurement outcomes.
     pub breaker: BreakerConfig,
-    /// Observability (on by default: the summary and tests need it).
-    pub obs: ObsConfig,
-    /// Deterministic fault injection: request-ordinal transients to
-    /// trip the breaker, write-ordinal cache errors to degrade the
-    /// cache.
+    /// Deterministic fault injection: panics and forced transients
+    /// addressed by (request ordinal, attempt), write-ordinal cache
+    /// errors to degrade the cache.
     pub chaos: Option<Arc<ChaosInjector>>,
     /// Test-only worker throttle: while `true`, workers leave the queue
     /// untouched, so tests can expire deadlines while jobs are
@@ -111,7 +111,6 @@ impl Default for ServeConfig {
             drain_timeout: Duration::from_secs(5),
             retry_after: Duration::from_millis(100),
             breaker: BreakerConfig::default(),
-            obs: ObsConfig::on(),
             chaos: None,
             worker_gate: None,
         }
@@ -188,14 +187,6 @@ impl Conn {
             Conn::Unix(s) => s.set_read_timeout(timeout),
         }
     }
-
-    /// Shuts down the write half (signals EOF to the peer).
-    pub fn shutdown_write(&self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
-            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Write),
-        }
-    }
 }
 
 impl Read for Conn {
@@ -263,30 +254,20 @@ struct Job {
     reply: mpsc::Sender<Result<Measurement, ProfileFailure>>,
 }
 
-#[derive(Default)]
-struct Counters {
-    requests: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    measured: AtomicU64,
-    rejected: AtomicU64,
-    deadline_expired: AtomicU64,
-    conn_drops: AtomicU64,
-    read_timeouts: AtomicU64,
-    connections: AtomicU64,
-    malformed: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> HealthCounters {
-        HealthCounters {
-            requests: self.requests.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            measured: self.measured.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
-        }
+/// The wire view of the `serve.*` counters: every serve event is
+/// counted once, in the metrics registry, and read back from there.
+fn health_counters(metrics: &Metrics) -> HealthCounters {
+    HealthCounters {
+        requests: metrics.counter("serve.requests"),
+        hits: metrics.counter("serve.hits"),
+        misses: metrics.counter("serve.misses"),
+        measured: metrics.counter("serve.measured"),
+        rejected: metrics
+            .counters()
+            .filter(|(name, _)| name.starts_with("serve.rejected."))
+            .map(|(_, n)| n)
+            .sum(),
+        deadline_expired: metrics.counter("serve.deadline-expired"),
     }
 }
 
@@ -298,9 +279,10 @@ struct Shared {
     /// directory still serves warm hits.
     memory: Mutex<std::collections::HashMap<u64, CachedOutcome>>,
     /// The persistence layer: previously measured answers loaded at
-    /// bind, new ones appended per record. `None` = memory-only.
+    /// bind, new ones appended per record through `writer`. `None` =
+    /// memory-only.
     cache: Mutex<Option<MeasurementCache>>,
-    cache_degraded: AtomicBool,
+    writer: CacheWriter,
     breaker: Mutex<CircuitBreaker>,
     breaker_open: AtomicBool,
     draining: AtomicBool,
@@ -309,42 +291,27 @@ struct Shared {
     queue_cv: Condvar,
     limiter: Mutex<ClientLimiter>,
     next_request: AtomicUsize,
-    cache_writes: AtomicUsize,
     obs: Mutex<EventBuffer>,
-    counters: Counters,
 }
 
 impl Shared {
     fn trace(&self, event: TraceEvent) {
-        if self.cfg.obs.enabled {
-            self.obs.lock().unwrap().emit(event);
-        }
-    }
-
-    fn trace_wall(&self, event: TraceEvent) {
-        if self.cfg.obs.enabled {
-            self.obs.lock().unwrap().emit_wall(event);
-        }
+        self.obs.lock().unwrap().emit(event);
     }
 
     fn metric(&self, name: &str, delta: u64) {
-        if self.cfg.obs.enabled {
-            self.obs.lock().unwrap().add(name, delta);
-        }
+        self.obs.lock().unwrap().add(name, delta);
     }
 
     fn latency(&self, name: &str, elapsed: Duration) {
-        if self.cfg.obs.enabled {
-            self.obs.lock().unwrap().observe_wall(
-                name,
-                SERVE_LATENCY_NS,
-                elapsed.as_nanos() as u64,
-            );
-        }
+        self.obs
+            .lock()
+            .unwrap()
+            .observe_wall(name, SERVE_LATENCY_NS, elapsed.as_nanos() as u64);
     }
 
     fn degraded(&self) -> bool {
-        self.breaker_open.load(Ordering::Relaxed) || self.cache_degraded.load(Ordering::Relaxed)
+        self.breaker_open.load(Ordering::Relaxed) || self.writer.is_degraded()
     }
 
     fn state_name(&self) -> &'static str {
@@ -365,48 +332,32 @@ impl Shared {
     }
 
     /// Stores one cacheable outcome: always into the in-memory warm
-    /// store, and onto disk when a cache directory is configured. The
-    /// first write error degrades the server to *write-off*: no further
-    /// persistence is attempted, but both the memory store and the
-    /// already-loaded disk records keep answering warm hits —
-    /// degradation sheds miss-work, never hits.
-    fn store(&self, request: usize, key: u64, outcome: &CachedOutcome) {
-        if outcome.is_transient_failure() {
+    /// store, and onto disk through the harness's [`CacheWriter`] when a
+    /// cache directory is configured. The first write error degrades
+    /// the server to *write-off*: no further persistence is attempted,
+    /// but both the memory store and the already-loaded disk records
+    /// keep answering warm hits — degradation sheds miss-work, never
+    /// hits.
+    fn store(&self, request: usize, key: u64, outcome: &Result<Measurement, ProfileFailure>) {
+        if outcome.as_ref().is_err_and(ProfileFailure::is_transient) {
             return;
         }
-        self.memory.lock().unwrap().insert(key, outcome.clone());
-        if self.cache_degraded.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut guard = self.cache.lock().unwrap();
-        let Some(cache) = guard.as_mut() else {
-            return;
-        };
-        let ordinal = self.cache_writes.fetch_add(1, Ordering::Relaxed);
-        let injected = self
-            .cfg
-            .chaos
-            .as_ref()
-            .is_some_and(|c| c.fail_cache_write(ordinal));
-        let written = if injected {
-            Err(io::Error::other("chaos: injected cache write error"))
-        } else {
-            cache.insert(key, outcome.clone())
-        };
-        if written.is_err() {
-            self.trace_wall(TraceEvent::CacheWriteError {
-                ordinal,
-                unique: request,
-                injected,
-            });
-            self.trace_wall(TraceEvent::CacheDegraded { ordinal });
+        self.memory
+            .lock()
+            .unwrap()
+            .insert(key, outcome.clone().into());
+        let mut cache = self.cache.lock().unwrap();
+        let chaos = self.cfg.chaos.as_deref();
+        let obs = || Some(self.obs.lock().unwrap());
+        if self
+            .writer
+            .persist(cache.as_mut(), key, outcome, request, chaos, obs)
+        {
             self.metric("serve.cache.degraded", 1);
-            self.cache_degraded.store(true, Ordering::Relaxed);
         }
     }
 
     fn reject(&self, id: Option<u64>, request: usize, reason: RequestFailure) -> String {
-        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
         self.metric(&format!("serve.rejected.{}", reason.category()), 1);
         self.trace(TraceEvent::ServeRejected {
             request,
@@ -425,9 +376,6 @@ impl Shared {
     }
 
     fn deadline_expired(&self, request: usize) {
-        self.counters
-            .deadline_expired
-            .fetch_add(1, Ordering::Relaxed);
         self.metric("serve.deadline-expired", 1);
         self.trace(TraceEvent::ServeDeadlineExpired { request });
     }
@@ -448,13 +396,12 @@ impl Shared {
     /// queue → wait).
     fn predict(&self, p: PredictRequest) -> String {
         let request = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         self.metric("serve.requests", 1);
         let started = Instant::now();
 
         if let Some(uarch) = &p.uarch {
             if UarchKind::parse(uarch) != Some(self.cfg.uarch) {
-                self.counters.malformed.fetch_add(1, Ordering::Relaxed);
+                self.metric("serve.malformed", 1);
                 return protocol::error_response(
                     p.id,
                     RequestFailure::Malformed.category(),
@@ -468,7 +415,6 @@ impl Shared {
         let block = match p.block.decode() {
             Ok(block) => block,
             Err(detail) => {
-                self.counters.malformed.fetch_add(1, Ordering::Relaxed);
                 self.metric("serve.malformed", 1);
                 return protocol::error_response(
                     p.id,
@@ -492,12 +438,10 @@ impl Shared {
         // Warm hit — answered before any degradation check, which is
         // exactly why a breaker-tripped server still serves hits.
         if let Some(outcome) = self.cache_get(key) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
             self.metric("serve.hits", 1);
             self.latency("serve.latency.hit-ns", started.elapsed());
             return self.outcome_response(p.id, outcome.into_result(), "cache");
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
         self.metric("serve.misses", 1);
 
         if p.cache_only {
@@ -552,7 +496,6 @@ impl Shared {
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
                 cancelled.store(true, Ordering::Relaxed);
                 if let Some(outcome) = self.cache_get(key) {
-                    self.counters.hits.fetch_add(1, Ordering::Relaxed);
                     self.metric("serve.hits", 1);
                     return self.outcome_response(p.id, outcome.into_result(), "cache");
                 }
@@ -569,15 +512,14 @@ impl Shared {
     fn handle_line(&self, line: &str) -> String {
         match protocol::parse_request(line) {
             Err(detail) => {
-                self.counters.malformed.fetch_add(1, Ordering::Relaxed);
                 self.metric("serve.malformed", 1);
                 protocol::error_response(None, RequestFailure::Malformed.category(), &detail)
             }
             Ok(Request::Health) => protocol::health_response(
                 self.state_name(),
                 self.breaker_open.load(Ordering::Relaxed),
-                self.cache_degraded.load(Ordering::Relaxed),
-                self.counters.snapshot(),
+                self.writer.is_degraded(),
+                health_counters(self.obs.lock().unwrap().metrics()),
             ),
             Ok(Request::Predict(p)) => self.predict(p),
         }
@@ -589,6 +531,7 @@ impl Shared {
 // ---------------------------------------------------------------------
 
 fn worker_loop(shared: &Shared) {
+    let mut machine = Machine::new(shared.profiler.uarch(), 0);
     loop {
         let job = {
             let mut queue = shared.queue.lock().unwrap();
@@ -615,11 +558,11 @@ fn worker_loop(shared: &Shared) {
                 queue = guard;
             }
         };
-        run_job(shared, job);
+        run_job(shared, job, &mut machine);
     }
 }
 
-fn run_job(shared: &Shared, job: Job) {
+fn run_job(shared: &Shared, job: Job, machine: &mut Machine) {
     // Deadline check at the queue head: expired or abandoned work is
     // cancelled here and never reaches the profiler.
     if job.cancelled.load(Ordering::Relaxed) || Instant::now() >= job.deadline {
@@ -631,21 +574,18 @@ fn run_job(shared: &Shared, job: Job) {
         let _ = job.reply.send(outcome.into_result());
         return;
     }
-    let outcome = if shared
-        .cfg
-        .chaos
-        .as_ref()
-        .is_some_and(|c| c.forces_transient(job.request, 0))
-    {
-        Err(ProfileFailure::Unreproducible {
-            clean: 0,
-            identical: 0,
-            required: 8,
-        })
-    } else {
-        shared.profiler.profile(&job.block)
-    };
-    shared.counters.measured.fetch_add(1, Ordering::Relaxed);
+    // The batch pipeline's attempt chain, addressed by request ordinal;
+    // attempt-level events stay out of the serve trace.
+    let outcome = profile_attempts(
+        &shared.profiler,
+        &job.block,
+        machine,
+        0..=shared.profiler.config().retry.retries,
+        job.request,
+        shared.cfg.chaos.as_deref(),
+        None,
+    )
+    .outcome;
     shared.metric("serve.measured", 1);
 
     let transient = outcome.as_ref().err().is_some_and(|f| f.is_transient());
@@ -657,16 +597,19 @@ fn run_job(shared: &Shared, job: Job) {
             if let Some(trip) = breaker.trip() {
                 shared.breaker_open.store(true, Ordering::Relaxed);
                 shared.metric("serve.breaker.trip", 1);
-                shared.trace_wall(TraceEvent::BreakerTrip {
-                    at_block: trip.at_block,
-                    rate: trip.rate,
-                    window: trip.window,
-                });
+                shared
+                    .obs
+                    .lock()
+                    .unwrap()
+                    .emit_wall(TraceEvent::BreakerTrip {
+                        at_block: trip.at_block,
+                        rate: trip.rate,
+                        window: trip.window,
+                    });
             }
         }
     }
-    let cached: CachedOutcome = outcome.clone().into();
-    shared.store(job.request, job.key, &cached);
+    shared.store(job.request, job.key, &outcome);
     let _ = job.reply.send(outcome);
 }
 
@@ -739,7 +682,6 @@ impl LineReader {
 }
 
 fn handle_conn(shared: &Shared, mut conn: Conn, ordinal: usize) {
-    shared.counters.connections.fetch_add(1, Ordering::Relaxed);
     let _ = conn.set_read_timeout(Some(shared.cfg.read_timeout));
     let mut reader = LineReader::new();
     loop {
@@ -749,7 +691,6 @@ fn handle_conn(shared: &Shared, mut conn: Conn, ordinal: usize) {
                 response.push('\n');
                 if conn.write_all(response.as_bytes()).is_err() {
                     // The peer vanished between request and response.
-                    shared.counters.conn_drops.fetch_add(1, Ordering::Relaxed);
                     shared.metric("serve.conn.dropped", 1);
                     shared.trace(TraceEvent::ServeConnDropped { conn: ordinal });
                     return;
@@ -757,7 +698,6 @@ fn handle_conn(shared: &Shared, mut conn: Conn, ordinal: usize) {
             }
             LineEvent::CleanEof => return,
             LineEvent::DroppedMidLine => {
-                shared.counters.conn_drops.fetch_add(1, Ordering::Relaxed);
                 shared.metric("serve.conn.dropped", 1);
                 shared.trace(TraceEvent::ServeConnDropped { conn: ordinal });
                 return;
@@ -770,10 +710,6 @@ fn handle_conn(shared: &Shared, mut conn: Conn, ordinal: usize) {
                 }
             }
             LineEvent::Stalled => {
-                shared
-                    .counters
-                    .read_timeouts
-                    .fetch_add(1, Ordering::Relaxed);
                 shared.metric("serve.conn.read-timeout", 1);
                 shared.trace(TraceEvent::ServeReadTimeout { conn: ordinal });
                 return;
@@ -868,21 +804,19 @@ impl Server {
     ///
     /// I/O errors binding the socket or opening the cache.
     pub fn bind(cfg: ServeConfig, addr: &BindAddr) -> io::Result<Server> {
-        let mut obs = EventBuffer::new(cfg.obs.capacity());
+        let mut obs = EventBuffer::new(DEFAULT_RING_CAPACITY);
         let cache = match &cfg.cache_dir {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
                 let cache = MeasurementCache::open(dir, cfg.uarch, &cfg.config)?;
-                if cfg.obs.enabled {
-                    let report = cache.open_report();
-                    obs.emit(TraceEvent::CacheOpened {
-                        loaded: report.loaded,
-                        stale_evictions: report.stale_evictions,
-                        transient_evictions: report.transient_evictions,
-                        dropped_records: report.dropped_records,
-                        dropped_bytes: report.dropped_bytes,
-                    });
-                }
+                let report = cache.open_report();
+                obs.emit(TraceEvent::CacheOpened {
+                    loaded: report.loaded,
+                    stale_evictions: report.stale_evictions,
+                    transient_evictions: report.transient_evictions,
+                    dropped_records: report.dropped_records,
+                    dropped_bytes: report.dropped_bytes,
+                });
                 Some(cache)
             }
             None => None,
@@ -905,7 +839,7 @@ impl Server {
             profiler,
             memory: Mutex::new(std::collections::HashMap::new()),
             cache: Mutex::new(cache),
-            cache_degraded: AtomicBool::new(false),
+            writer: CacheWriter::default(),
             breaker: Mutex::new(CircuitBreaker::new(cfg.breaker)),
             breaker_open: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -914,9 +848,7 @@ impl Server {
             queue_cv: Condvar::new(),
             limiter: Mutex::new(ClientLimiter::new(cfg.rate_burst, cfg.rate_per_sec)),
             next_request: AtomicUsize::new(0),
-            cache_writes: AtomicUsize::new(0),
             obs: Mutex::new(obs),
-            counters: Counters::default(),
             cfg: ServeConfig { workers, ..cfg },
         });
         Ok(Server {
@@ -1025,13 +957,13 @@ impl Server {
             .unwrap_or_else(|_| panic!("all server threads joined, no Shared refs remain"));
         let obs = RunObs::merge([shared.obs.into_inner().unwrap()]);
         Ok(ServeSummary {
-            connections: shared.counters.connections.load(Ordering::Relaxed),
-            counters: shared.counters.snapshot(),
-            conn_drops: shared.counters.conn_drops.load(Ordering::Relaxed),
-            read_timeouts: shared.counters.read_timeouts.load(Ordering::Relaxed),
-            malformed: shared.counters.malformed.load(Ordering::Relaxed),
+            connections: next_conn as u64,
+            counters: health_counters(&obs.metrics),
+            conn_drops: obs.metrics.counter("serve.conn.dropped"),
+            read_timeouts: obs.metrics.counter("serve.conn.read-timeout"),
+            malformed: obs.metrics.counter("serve.malformed"),
             breaker_tripped: shared.breaker_open.load(Ordering::Relaxed),
-            cache_degraded: shared.cache_degraded.load(Ordering::Relaxed),
+            cache_degraded: shared.writer.is_degraded(),
             obs,
         })
     }

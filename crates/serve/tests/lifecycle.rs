@@ -2,7 +2,7 @@
 //! deadlines, degradation, drain, and warm restart — every acceptance
 //! behavior of the serving layer, pinned deterministically.
 
-use bhive_harness::{BreakerConfig, ChaosInjector, FaultPlan, RequestFailure};
+use bhive_harness::{BreakerConfig, ChaosInjector, FaultPlan, ProfileConfig, RequestFailure};
 use bhive_serve::{BindAddr, Client, ServeConfig, Server, ServerHandle};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -14,6 +14,8 @@ use std::time::Duration;
 const ADD: &str = "4801d8";
 /// `sub rax, rbx` — a second distinct cacheable block.
 const SUB: &str = "4829d8";
+/// `and rax, rbx` — a third.
+const AND: &str = "4821d8";
 
 fn tmp_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -281,6 +283,58 @@ fn breaker_trip_sheds_misses_but_still_serves_warm_hits() {
 }
 
 #[test]
+fn planned_panic_is_contained_and_the_worker_keeps_serving() {
+    let cfg = ServeConfig {
+        workers: 1,
+        chaos: Some(Arc::new(ChaosInjector::new(
+            FaultPlan::new().panic_at(1, 0),
+        ))),
+        ..fast_config()
+    };
+    let server = start(cfg);
+    let mut client = Client::connect(&server.addr).expect("connect");
+    let ok = client.roundtrip(&predict(0, ADD)).expect("request 0");
+    assert!(ok.contains(r#""status":"ok""#), "{ok}");
+    let panicked = client.roundtrip(&predict(1, SUB)).expect("request 1");
+    assert!(panicked.contains(r#""category":"panic""#), "{panicked}");
+    // The one worker quarantined its machine and measures the next block.
+    let after = client.roundtrip(&predict(2, AND)).expect("request 2");
+    assert!(after.contains(r#""status":"ok""#), "{after}");
+    assert!(after.contains(r#""source":"measured""#), "{after}");
+    let health = client.roundtrip(r#"{"op":"health"}"#).expect("health");
+    assert!(health.contains(r#""state":"serving""#), "{health}");
+    drop(client);
+    server.stop();
+}
+
+#[test]
+fn forced_transients_retry_like_batch_against_the_configured_threshold() {
+    // Request 1 is transient on attempt 0 only; request 2 on both.
+    let plan = FaultPlan::new().transient_at(1, 0).transient_through(2, 1);
+    let cfg = ServeConfig {
+        config: ProfileConfig {
+            min_clean_identical: 4,
+            ..ProfileConfig::bhive().with_retries(1)
+        },
+        chaos: Some(Arc::new(ChaosInjector::new(plan))),
+        ..fast_config()
+    };
+    let server = start(cfg);
+    let mut client = Client::connect(&server.addr).expect("connect");
+    client.roundtrip(&predict(0, ADD)).expect("request 0");
+    let recovered = client.roundtrip(&predict(1, SUB)).expect("request 1");
+    assert!(recovered.contains(r#""status":"ok""#), "{recovered}");
+    let failed = client.roundtrip(&predict(2, AND)).expect("request 2");
+    assert!(
+        failed.contains(r#""category":"unreproducible""#),
+        "{failed}"
+    );
+    assert!(failed.contains("(need 4)"), "{failed}");
+    drop(client);
+    server.stop();
+}
+
+#[test]
 fn cache_write_error_degrades_writes_but_keeps_serving_hits() {
     let dir = tmp_dir("degrade");
     let cfg = ServeConfig {
@@ -376,6 +430,9 @@ fn malformed_requests_answer_errors_and_keep_the_connection() {
     drop(client);
     let summary = server.stop();
     assert_eq!(summary.malformed, 4);
+    // One count per event: the summary reads the registry, and the
+    // another-uarch answer counts there too.
+    assert_eq!(summary.obs.metrics.counter("serve.malformed"), 4);
 }
 
 #[test]

@@ -458,24 +458,6 @@ impl Machine {
         model.simulate_with(prep, n_insts, l1i, l1d, scratch)
     }
 
-    /// Times a previously recorded trace against cache state carried in
-    /// `l1i`/`l1d` (deterministic; no noise).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonConvergence`] if the schedule exhausts its cycle
-    /// budget.
-    pub fn time_trace(
-        &self,
-        insts: &[Inst],
-        trace: &[DynInst],
-        layout: &CodeLayout,
-        l1i: &mut Cache,
-        l1d: &mut Cache,
-    ) -> Result<TimingResult, NonConvergence> {
-        TimingModel::new(insts, self.uarch).run(trace, layout, l1i, l1d)
-    }
-
     /// Samples measurement noise for a timing result and converts it to
     /// counter deltas (one "trial" of the paper's 16).
     pub fn observe(&mut self, timing: &TimingResult) -> PerfCounters {
@@ -489,7 +471,9 @@ impl Machine {
             l1i_misses: timing.l1i_misses,
             context_switches: ctx_switches,
             misaligned_mem_refs: timing.misaligned,
-            subnormal_events: trace_subnormals_placeholder(),
+            // `observe` cannot see the trace; callers that have it fill
+            // the real count in.
+            subnormal_events: 0,
         }
     }
 
@@ -524,12 +508,6 @@ impl Machine {
         self.put_trace_buffer(trace);
         outcome
     }
-}
-
-/// `observe` cannot see the trace; `run` fills the real value in. Kept as
-/// a named function so the intent is greppable.
-fn trace_subnormals_placeholder() -> u64 {
-    0
 }
 
 #[cfg(test)]
@@ -598,8 +576,8 @@ mod tests {
         let layout = CodeLayout::from_block(block.insts(), CODE_BASE).unwrap();
         let mut l1i = Cache::new(machine.uarch().l1i);
         let mut l1d = Cache::new(machine.uarch().l1d);
-        let timing = machine
-            .time_trace(block.insts(), &trace, &layout, &mut l1i, &mut l1d)
+        let timing = TimingModel::new(block.insts(), machine.uarch())
+            .run(&trace, &layout, &mut l1i, &mut l1d)
             .unwrap();
         let samples: Vec<u64> = (0..64)
             .map(|_| machine.observe(&timing).core_cycles)

@@ -98,11 +98,6 @@ impl CodeLayout {
             len,
         )
     }
-
-    /// Total footprint of `copies` unrolled copies, in bytes.
-    pub fn footprint(&self, copies: u32) -> u64 {
-        u64::from(self.block_len) * u64::from(copies)
-    }
 }
 
 /// One dynamic instruction of the trace: which static instruction, which

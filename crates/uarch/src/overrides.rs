@@ -36,13 +36,6 @@ pub struct EntryOverride {
     pub ports: u8,
 }
 
-impl EntryOverride {
-    /// The ports as a [`PortSet`].
-    pub fn port_set(&self) -> PortSet {
-        PortSet::from_mask(self.ports)
-    }
-}
-
 /// A set of table-entry overrides, keyed by entry key.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TableOverrides {

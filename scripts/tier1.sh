@@ -64,6 +64,9 @@ grep -q '"id":1,"status":"ok".*"source":"measured"' "$serve_dir/answers"
 grep -q '"id":2,"status":"ok".*"source":"cache"' "$serve_dir/answers"
 grep -q '"status":"error","reason":"malformed"' "$serve_dir/answers"
 grep -q '"status":"health","state":"serving"' "$serve_dir/answers"
+# The health counts come from the one serve.* registry: two predicts,
+# one miss measured, one warm hit; the malformed line is no request.
+grep -q '"requests":2,"hits":1,"misses":1,"measured":1,"rejected":0' "$serve_dir/answers"
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 test ! -e "$serve_dir/bhive.sock" # drain unlinks the socket

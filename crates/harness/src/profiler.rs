@@ -278,10 +278,13 @@ impl Profiler {
         sink: &mut dyn FnMut(AttemptEvent),
     ) -> Result<TrialSet, ProfileFailure> {
         // Warm-up run, then the measured run (the paper executes the
-        // unrolled block twice and times the second run), replaying the
-        // prepared trace against freshly flushed caches. A schedule that
-        // exhausts its cycle budget is a hard (permanent) failure, never
-        // a truncated measurement.
+        // unrolled block twice and times the second run), against freshly
+        // flushed caches. The warm-up replays the prefix's cache accesses
+        // and the measured run is the one cycle-level pass, unless the
+        // replay evicts a line; then both runs are simulated (see
+        // `Machine::simulate_double`). A schedule that exhausts its cycle
+        // budget is a hard (permanent) failure, never a truncated
+        // measurement.
         let timing = machine
             .simulate_double(model, n_insts)
             .map_err(ProfileFailure::from_nonconvergence)?;

@@ -4,6 +4,14 @@
 //! (VIPT), exactly the property the paper's single-physical-page mapping
 //! exploits: every virtual page aliases the same physical frame, so the
 //! cache sees one page's worth of lines and never misses after warm-up.
+//! On the shipped 64-set, 8-way geometry that page is 64 lines, one per
+//! set, so under that mapping the L1D cannot evict; only the L1I can
+//! overflow.
+//!
+//! So `Machine::simulate_double` warms both caches by replaying a
+//! prefix's accesses in program order instead of simulating a warm-up
+//! pass: the replay is exact whenever no fill evicts a line
+//! (`PreparedTrace::warm_by_replay`).
 
 use bhive_uarch::CacheParams;
 
@@ -126,7 +134,7 @@ impl Cache {
         self.use_counter = 0;
     }
 
-    /// Number of currently valid lines (for tests/statistics).
+    /// Number of currently valid lines.
     pub fn valid_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != u64::MAX).count()
     }
@@ -216,6 +224,39 @@ mod tests {
         assert!(!c.access(0x2000, 0x2000));
         assert!(c.access(0x0, 0x0));
         assert!(!c.access(0x1000, 0x1000));
+    }
+
+    /// The replay warm-up's eviction check: starting flushed, every miss
+    /// fills an invalid way until a set runs out of ways, so the
+    /// valid-line count equals the miss count exactly when nothing was
+    /// evicted.
+    #[test]
+    fn valid_lines_equal_misses_until_an_eviction() {
+        let mut c = l1d();
+        let ways = Uarch::haswell().l1d.ways as u64;
+        // One page apart: same set (64 sets x 64 bytes), distinct tags.
+        let mut misses = 0;
+        for k in 0..ways {
+            misses += usize::from(!c.access(k * 4096, k * 4096));
+        }
+        assert_eq!(misses, ways as usize);
+        assert_eq!(c.valid_lines(), misses, "ways tags fit in one set");
+        misses += usize::from(!c.access(ways * 4096, ways * 4096));
+        assert_eq!(c.valid_lines() + 1, misses, "one tag more evicts");
+
+        // A line-splitting access fills two lines: on one set of two
+        // ways, a split access and one more line no longer fit.
+        let mut c = Cache::new(bhive_uarch::CacheParams {
+            size_bytes: 2 * 64,
+            line_bytes: 64,
+            ways: 2,
+        });
+        assert!(c.splits_line(0x3c, 8));
+        let mut misses = usize::from(!c.access(0x3c, 0x3c));
+        misses += usize::from(!c.access(0x40, 0x40)); // the second half
+        assert_eq!(c.valid_lines(), misses);
+        misses += usize::from(!c.access(0x80, 0x80));
+        assert_eq!(c.valid_lines() + 1, misses);
     }
 
     #[test]

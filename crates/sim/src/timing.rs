@@ -24,6 +24,10 @@
 //!   producer lists every cycle, and stretches of cycles where nothing can
 //!   happen are skipped in one step — all without changing a single
 //!   observable bit.
+//! * [`PreparedTrace::warm_by_replay`] warms the caches for the measured
+//!   run by replaying the prefix's cache accesses in program order, so
+//!   the double execution needs one cycle-level pass instead of two
+//!   whenever that replay evicts nothing.
 //!
 //! [`TimingModel::run_reference`] keeps the original single-pass
 //! implementation; differential tests pin the split path to it bit for
@@ -163,6 +167,23 @@ impl fmt::Display for NonConvergence {
 }
 
 impl std::error::Error for NonConvergence {}
+
+/// The cycle budget of a schedule over `uops` unfused uops: the safety
+/// valve past which the pipeline abandons the schedule as
+/// [`NonConvergence`]. A linear allowance per uop on top of a fixed floor
+/// that no real schedule comes near.
+pub(crate) fn cycle_budget(uops: usize) -> u64 {
+    1_000_000 + uops as u64 * 64
+}
+
+/// The second line of a line-splitting access at `vaddr`/`paddr`: its
+/// `(virtual, physical)` start, the physical side offset by the same
+/// distance as the virtual one.
+#[inline]
+fn split_second_line(l1d: &Cache, vaddr: u64, paddr: u64) -> (u64, u64) {
+    let second = (vaddr / l1d.line_bytes() + 1) * l1d.line_bytes();
+    (second, paddr + (second - vaddr))
+}
 
 /// Dependency-tracking key (reference path only; the prepared path uses
 /// the flat producer scoreboard below).
@@ -309,8 +330,8 @@ struct UopMeta {
 /// A trace compiled into its schedule-independent form: the dynamic uop
 /// stream with resolved latencies, dependency edges, memory addresses,
 /// and the frontend fetch/L1I-probe schedule. Built once per attempt and
-/// replayed by [`TimingModel::simulate_with`] for every warm-up/measured
-/// run.
+/// replayed by [`TimingModel::simulate_with`] for every measured (and
+/// any simulated warm-up) run.
 ///
 /// Layout is structure-of-arrays: one parallel column per uop attribute,
 /// indexed by uop id, plus forward dependency lists (`dep_*` into
@@ -406,6 +427,60 @@ impl PreparedTrace {
     /// Number of unfused uops in the prepared stream.
     pub fn uop_count(&self) -> usize {
         self.ports.len()
+    }
+
+    /// Number of unfused uops the first `n_insts` instructions own.
+    pub(crate) fn prefix_uops(&self, n_insts: usize) -> usize {
+        n_insts
+            .checked_sub(1)
+            .map_or(0, |last| self.inst_last[last] as usize)
+    }
+
+    /// Flushes `l1i`/`l1d` and replays the cache traffic of the first
+    /// `n_insts` instructions into them in program order: the L1I line
+    /// probes, then every memory uop's L1D access (split-line second
+    /// halves included, exactly as [`TimingModel::simulate_with`]
+    /// issues them). Returns `true` when no fill evicted a valid line.
+    ///
+    /// A simulated pass over the same prefix makes the same multiset of
+    /// line accesses (each memory uop issues exactly once), only in
+    /// issue order. Whether a set ever holds more distinct tags than it
+    /// has ways does not depend on that order, so when the replay evicts
+    /// nothing, a simulated warm-up evicts nothing either and both leave
+    /// every touched line resident: the caches then hit on every access
+    /// of the measured pass under either warm-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_insts` exceeds the prepared length.
+    pub fn warm_by_replay(&self, n_insts: usize, l1i: &mut Cache, l1d: &mut Cache) -> bool {
+        assert!(
+            n_insts <= self.len(),
+            "prefix of {n_insts} insts exceeds prepared trace of {}",
+            self.len()
+        );
+        l1i.flush();
+        l1d.flush();
+        // Starting flushed, each miss fills an invalid way unless it
+        // evicts, so the valid-line count equals the miss count exactly
+        // when nothing was evicted.
+        let mut l1i_misses = 0usize;
+        for &(_, addr) in self.probes.iter().take_while(|p| (p.0 as usize) < n_insts) {
+            l1i_misses += usize::from(!l1i.access(addr, addr));
+        }
+        let mut l1d_misses = 0usize;
+        let uops = self.prefix_uops(n_insts);
+        for (m, &[vaddr, paddr]) in self.meta[..uops].iter().zip(&self.mem_addr) {
+            if m.mem_width == 0 {
+                continue;
+            }
+            l1d_misses += usize::from(!l1d.access(vaddr, paddr));
+            if l1d.splits_line(vaddr, m.mem_width) {
+                let (second, second_paddr) = split_second_line(l1d, vaddr, paddr);
+                l1d_misses += usize::from(!l1d.access(second, second_paddr));
+            }
+        }
+        l1i.valid_lines() == l1i_misses && l1d.valid_lines() == l1d_misses
     }
 }
 
@@ -1077,9 +1152,9 @@ impl<'a> TimingModel<'a> {
 
     /// Runs the first `n_insts` prepared dynamic instructions through the
     /// pipeline. `l1i`/`l1d` carry cache state across runs (the harness
-    /// performs a warm-up run first, exactly like the paper's double
-    /// execution); `scratch` is caller-owned so repeated runs allocate
-    /// nothing.
+    /// warms them first, like the paper's double execution; see
+    /// [`PreparedTrace::warm_by_replay`]); `scratch` is caller-owned so
+    /// repeated runs allocate nothing.
     ///
     /// Prefix replay is exact: simulating `n` instructions of a longer
     /// preparation is bit-identical to preparing and simulating the
@@ -1110,7 +1185,7 @@ impl<'a> TimingModel<'a> {
         if n_insts == 0 {
             return Ok(result);
         }
-        let uop_limit = prep.inst_last[n_insts - 1] as usize;
+        let uop_limit = prep.prefix_uops(n_insts);
         let SimScratch {
             completion,
             fetch_cycle,
@@ -1193,7 +1268,7 @@ impl<'a> TimingModel<'a> {
         let mut rs_used = 0u32;
         let mut cycle = 0u64;
         // Safety valve against pathological schedules.
-        let max_cycles = 1_000_000u64 + (uop_limit as u64) * 64;
+        let max_cycles = cycle_budget(uop_limit);
         let issue_quota = self.uarch.issue_width * 2;
 
         while next_retire < total_insts {
@@ -1373,9 +1448,8 @@ impl<'a> TimingModel<'a> {
                                 latency += self.uarch.split_access_penalty;
                                 result.misaligned += 1;
                                 // The second line is accessed as well.
-                                let second = (vaddr / l1d.line_bytes() + 1) * l1d.line_bytes();
-                                let poff = second - vaddr;
-                                if !l1d.access(second, paddr + poff) {
+                                let (second, second_paddr) = split_second_line(l1d, vaddr, paddr);
+                                if !l1d.access(second, second_paddr) {
                                     latency += self.uarch.l1d_miss_penalty;
                                     if write {
                                         result.l1d_write_misses += 1;
@@ -1908,7 +1982,7 @@ impl<'a> TimingModel<'a> {
         let mut rename_cycle = vec![0u64; total_insts];
         let mut cycle = 0u64;
         // Safety valve against pathological schedules.
-        let max_cycles = 1_000_000u64 + (uops.len() as u64) * 64;
+        let max_cycles = cycle_budget(uops.len());
 
         while next_retire < total_insts {
             // Retire (fused-domain bandwidth).

@@ -9,6 +9,10 @@ cargo build --release
 # crate under crates/, so this runs every member's unit, integration
 # and doc tests (the vendored dependency subsets are left out).
 cargo test -q
+# The simulator differentials again against release codegen, where the
+# cycle loop's debug_assert! bound checks are compiled out and the
+# unchecked indexing that ships is what runs.
+cargo test -q --release -p bhive-sim --test differential
 cargo build --examples
 # CLI smoke: a supervised run with a retry budget exits 0 and reports.
 cargo run -q --release -p bhive -- profile --retries 2 <<'EOF'

@@ -12,7 +12,7 @@ use bhive::harness::{
     Profiler, TraceLog,
 };
 use bhive::uarch::UarchKind;
-use std::io::Read;
+use std::io::{BufWriter, Read, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -564,9 +564,7 @@ fn run() -> Result<ExitCode, CliError> {
         "exegesis" => {
             // Long tabular output routinely gets piped into `head`; use
             // the EPIPE-tolerant writer like the CSV commands.
-            let stdout = std::io::stdout();
-            let mut out = stdout.lock();
-            let write_table = |out: &mut dyn std::io::Write| -> std::io::Result<()> {
+            write_stdout(|out| {
                 writeln!(
                     out,
                     "# per-opcode latency / reciprocal throughput on {} (llvm-exegesis style)",
@@ -583,8 +581,7 @@ fn run() -> Result<ExitCode, CliError> {
                     )?;
                 }
                 Ok(())
-            };
-            write_table(&mut out).or_else(ignore_epipe)?;
+            })?;
         }
         "profile" => {
             let block = read_stdin_block()?;
@@ -656,8 +653,7 @@ fn run() -> Result<ExitCode, CliError> {
                 run_sharded_supervisor(&pipeline, &opts, workers)?;
             }
             let data = pipeline.measured(opts.corpus, opts.uarch);
-            let stdout = std::io::stdout();
-            data.write_csv(stdout.lock()).or_else(ignore_epipe)?;
+            write_stdout(|out| data.write_csv(out))?;
             // Pipeline observability goes to stderr so the CSV on stdout
             // stays machine-readable.
             for (label, stats) in pipeline.profile_stats() {
@@ -672,8 +668,7 @@ fn run() -> Result<ExitCode, CliError> {
         }
         "corpus" => {
             let corpus = Corpus::generate(opts.scale, opts.seed);
-            let stdout = std::io::stdout();
-            corpus.write_csv(stdout.lock()).or_else(ignore_epipe)?;
+            write_stdout(|out| corpus.write_csv(out))?;
         }
         other => {
             return Err(CliError::Usage(format!("unknown command `{other}`")));
@@ -1190,6 +1185,18 @@ fn run_health(pipeline: &Pipeline) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+/// Writes command output to stdout through one buffer, so a large CSV
+/// costs a few `write` calls instead of one per line-buffered row. A
+/// reader that closed the pipe early is not an error.
+fn write_stdout(
+    write: impl FnOnce(&mut BufWriter<std::io::StdoutLock<'static>>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .or_else(ignore_epipe)
 }
 
 /// Piping into `head` closes stdout early; exiting loudly on EPIPE is

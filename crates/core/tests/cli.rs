@@ -1,8 +1,9 @@
 //! End-to-end tests of the `bhive` binary: exit codes, help output, and
 //! the measurement cache's warm/cold bit-identity as seen from the CLI.
 
+use std::io::Read;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn bhive(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bhive"))
@@ -154,4 +155,30 @@ fn table5_is_identical_at_any_thread_count_cold_and_warm() {
     assert_ne!(cold1_report, warm1_report, "the warm runs read the cache");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `bhive corpus | head`: the reader closes the pipe after a few bytes,
+/// with far more than a pipe buffer's worth of CSV still unwritten. The
+/// buffered writer's next write or final flush fails with EPIPE, which is
+/// not an error: exit 0 and nothing on stderr.
+#[test]
+fn closed_stdout_pipe_is_not_an_error() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bhive"))
+        .args(["corpus", "--scale", "300"])
+        .env_remove("BHIVE_CACHE")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("bhive binary runs");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 64];
+    stdout.read_exact(&mut head).expect("the CSV starts");
+    drop(stdout);
+    let out = child.wait_with_output().expect("bhive exits");
+    assert!(out.status.success(), "exit status {:?}", out.status);
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -350,6 +350,15 @@ fn body_checksum(body: &RecordBody) -> std::io::Result<u64> {
     Ok(fnv1a_64(json.as_bytes()))
 }
 
+/// The JSONL line (without its newline) of the [`Record`] holding
+/// `body`. Serializes the body once, for both the checksum and the line;
+/// the bytes are those of `serde_json::to_string(&Record { .. })`.
+fn record_line(body: &RecordBody) -> std::io::Result<String> {
+    let json = serde_json::to_string(body).map_err(std::io::Error::other)?;
+    let sum = fnv1a_64(json.as_bytes());
+    Ok(format!("{{\"sum\":{sum},\"body\":{json}}}"))
+}
+
 /// What scanning an append-only checksummed-JSONL log found: the valid
 /// prefix length and what the torn/corrupt tail held. Shared by the
 /// measurement cache and the obs trace log ([`crate::obs::TraceLog`]).
@@ -441,8 +450,7 @@ pub(crate) fn write_canonical_records<W: Write>(
             fp,
             outcome: entries[&key].clone(),
         };
-        let sum = body_checksum(&body)?;
-        let line = serde_json::to_string(&Record { sum, body }).map_err(std::io::Error::other)?;
+        let line = record_line(&body)?;
         writer.write_all(line.as_bytes())?;
         writer.write_all(b"\n")?;
     }
@@ -851,12 +859,7 @@ impl MeasurementCache {
             fp: self.fingerprint,
             outcome,
         };
-        let sum = body_checksum(&body)?;
-        let line = serde_json::to_string(&Record {
-            sum,
-            body: body.clone(),
-        })
-        .map_err(std::io::Error::other)?;
+        let line = record_line(&body)?;
         self.entries.insert(key, body.outcome);
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
@@ -896,6 +899,8 @@ impl MeasurementCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measurement::TrialSet;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1038,6 +1043,83 @@ mod tests {
         let reopened = MeasurementCache::open(&dir, UarchKind::Haswell, &config).unwrap();
         assert_eq!(reopened.open_report().transient_evictions, 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An outcome of one of three shapes drawn from `draws`: an invalid
+    /// address, a fault-budget kill, or a measurement with trial sets.
+    fn outcome_from(shape: u8, draws: &[u64]) -> CachedOutcome {
+        let trials = |unroll: u64, accepted: u64| TrialSet {
+            unroll: (unroll % 200) as u32 + 1,
+            cycles: draws.to_vec(),
+            clean: draws.len() as u32,
+            identical: draws.len() as u32 / 2,
+            accepted_cycles: accepted,
+            counters: bhive_sim::PerfCounters {
+                core_cycles: accepted,
+                ..bhive_sim::PerfCounters::default()
+            },
+        };
+        let word = |i: usize| draws.get(i).copied().unwrap_or(0);
+        match shape {
+            0 => CachedOutcome::Err(ProfileFailure::InvalidAddress { vaddr: word(0) }),
+            1 => CachedOutcome::Err(ProfileFailure::TooManyFaults {
+                faults: word(0) as u32,
+            }),
+            _ => {
+                let throughput = f64::from_bits(word(1));
+                CachedOutcome::Ok(Measurement {
+                    // JSON has no NaN or infinity.
+                    throughput: if throughput.is_finite() {
+                        throughput
+                    } else {
+                        word(1) as f64 / 7.0
+                    },
+                    lo: trials(word(2), word(3)),
+                    hi: trials(word(4), word(5)),
+                    mapped_pages: word(6) as usize,
+                    faults_serviced: word(7) as u32,
+                    subnormal_events: word(8),
+                    misaligned_refs: word(9),
+                    attempt: (word(0) % 4) as u32,
+                })
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The single-serialization line is byte-identical to serializing
+        /// the whole record, and a cache written with it reopens to the
+        /// same entry.
+        #[test]
+        fn record_line_is_the_serialized_record(
+            key in any::<u64>(),
+            shape in 0u8..3,
+            draws in proptest::collection::vec(any::<u64>(), 0..20),
+        ) {
+            let outcome = outcome_from(shape, &draws);
+            let config = ProfileConfig::bhive();
+            let body = RecordBody {
+                key,
+                uarch: UarchKind::Skylake,
+                fp: config.fingerprint(),
+                outcome: outcome.clone(),
+            };
+            let record = Record { sum: body_checksum(&body).unwrap(), body: body.clone() };
+            prop_assert_eq!(record_line(&body).unwrap(), serde_json::to_string(&record).unwrap());
+
+            let dir = temp_dir("record-line");
+            {
+                let mut cache = MeasurementCache::open(&dir, UarchKind::Skylake, &config).unwrap();
+                cache.insert(key, outcome.clone()).unwrap();
+            }
+            let cache = MeasurementCache::open(&dir, UarchKind::Skylake, &config).unwrap();
+            prop_assert_eq!(cache.open_report().loaded, 1);
+            prop_assert_eq!(cache.get(key), Some(&outcome));
+            drop(cache);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! 1. **Mapping stage** ([`monitor`]): execute the unrolled block in a
 //!    "child" machine; intercept each page fault; map the faulting virtual
 //!    page (to a *single shared physical page* in the full configuration);
-//!    re-initialize all registers and memory and restart from the top, so
-//!    the final measured address trace is identical to the mapping trace.
+//!    resume at the faulting instruction. The final trace is the one a
+//!    restart from re-initialized registers and memory would produce (the
+//!    paper's Fig. 2 restarts; see the `monitor` module for why resuming
+//!    is exact), so the measured address trace is the mapping trace.
 //! 2. **Measurement stage** ([`Profiler::profile`]): run the block at two
 //!    unroll factors, 16 timed trials each; reject trials with any L1D/L1I
 //!    miss or context switch; require at least 8 *identical* clean timings;

@@ -4,9 +4,22 @@
 //! parent intercepts each SIGSEGV, maps the faulting page, resets the
 //! child's registers and memory, and restarts the measure routine from the
 //! top. Here the "child" is the simulated machine and the fault arrives as
-//! an [`ExecFault::Seg`]; everything else — including the full
-//! re-initialization on every restart so the final address trace is
-//! identical to the mapping trace — is the same.
+//! an [`ExecFault::Seg`].
+//!
+//! One deviation: after mapping the page, this monitor resumes at the
+//! faulting instruction instead of restarting from the top, so an attempt
+//! costs one execution of the block rather than one per fault. The final
+//! trace, the fault count, the mapped pages and the `PageMapped` events are
+//! the ones a restarting monitor produces, because:
+//!
+//! * the completed prefix touched only pages that were already mapped, so a
+//!   restart would re-execute it access for access and leave the same
+//!   registers and page bytes;
+//! * mapping a new page changes no byte those accesses read: `PerPage`
+//!   maps a freshly filled frame, and `SinglePage` maps the frame the
+//!   prefix already wrote, as the restart's re-executed prefix would have;
+//! * a faulting instruction leaves no architectural effect (precise faults,
+//!   as on x86), so resuming at it sees the state a restart reaches there.
 
 use crate::config::{PageMapping, ProfileConfig};
 use crate::failure::ProfileFailure;
@@ -35,8 +48,9 @@ pub struct MappingOutcome {
 /// non-recoverable fault / the fault budget kills it).
 ///
 /// On success the machine's memory holds the final page mapping and the
-/// machine state holds the post-run register file; callers re-initialize
-/// before measuring, exactly like the paper's `measure` routine.
+/// machine state holds the post-run register file. The trace equals that
+/// of one fault-free run from the initial state, which is what the paper's
+/// `measure` routine re-creates, so callers time it directly.
 ///
 /// # Errors
 ///
@@ -56,7 +70,7 @@ pub fn monitor(
 
 /// [`monitor`] with an observability sink: every successfully serviced
 /// page fault is reported as [`AttemptEvent::PageMapped`] before the
-/// block is re-executed. The sink receives only deterministic,
+/// block resumes. The sink receives only deterministic,
 /// cycle/ordinal-valued data — never the wall clock — so traces built
 /// from it are bit-identical across thread counts.
 pub fn monitor_observed(
@@ -97,15 +111,15 @@ fn monitor_into(
     let mut shared_page: Option<PhysPage> = None;
     let fill = config.fill;
 
+    // Full initialization (Fig. 2: registers, memory values and flags are
+    // set so the memory-address trace reproduces exactly). Each serviced
+    // fault then resumes at the faulting instruction (see the module doc).
+    machine.reset(fill);
+    machine.set_ftz_daz(config.disable_gradual_underflow);
+    machine.memory_mut().refill_all(fill);
+    trace.clear();
     loop {
-        // Full re-initialization before every attempt (Fig. 2: registers,
-        // memory values and flags are reset so the memory-address trace
-        // reproduces exactly).
-        machine.reset(config.fill);
-        machine.set_ftz_daz(config.disable_gradual_underflow);
-        machine.memory_mut().refill_all(fill);
-
-        match machine.execute_unrolled_into(insts, unroll, trace) {
+        match machine.resume_unrolled_into(insts, unroll, trace) {
             Ok(()) => {
                 return Ok((machine.memory().mapped_page_count(), faults));
             }

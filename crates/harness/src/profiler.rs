@@ -182,9 +182,9 @@ impl Profiler {
             mapped_pages: mapping.mapped_pages,
         });
 
-        // The monitor's final execution ran fault-free from exactly the
+        // The monitor's trace equals one fault-free run from exactly the
         // initial state the paper's `measure` routine re-creates (reset +
-        // FTZ/DAZ + refill), so its trace *is* the measurement trace —
+        // FTZ/DAZ + refill), so it *is* the measurement trace —
         // re-executing it would reproduce it bit for bit. Prepare it once;
         // both unroll factors replay it (the lo-factor trace is a prefix,
         // because execution is deterministic).

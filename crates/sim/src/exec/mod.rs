@@ -113,9 +113,9 @@ pub fn effective_addr(mem: &MemRef, state: &CpuState) -> u64 {
 /// # Errors
 ///
 /// Returns an [`ExecFault`] on unmapped memory, divide error, or an
-/// unsupported operation; architectural state may be partially updated
-/// only in ways invisible to the caller (the framework always restarts
-/// from a full re-initialization after a fault, as the paper does).
+/// unsupported operation. Page faults are precise: an instruction that
+/// raises [`ExecFault::Seg`] leaves state and memory exactly as they were
+/// before it, so the monitor can map the page and resume at it.
 pub fn execute_inst(
     inst: &Inst,
     state: &mut CpuState,

@@ -135,16 +135,23 @@ pub(super) fn execute(
             write_scalar_operand(&ops[0], addr, state, mem, fx)?;
         }
         Push => {
+            // Store first, then lower RSP: a faulting push leaves RSP
+            // untouched (precise faults).
             let value = read_scalar_operand(&ops[0], state, mem, fx)?;
             let rsp = state.gpr64(Gpr::Rsp).wrapping_sub(8);
-            state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
             store_to(rsp, 8, value, state, mem, fx)?;
+            state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
         }
         Pop => {
             let rsp = state.gpr64(Gpr::Rsp);
             let value = load_from(rsp, 8, state, mem, fx)?;
+            // A memory destination addresses through the raised RSP (as
+            // on x86), but a faulting store must leave RSP untouched.
             state.set_gpr(Gpr::Rsp, OpSize::Q, rsp.wrapping_add(8));
-            write_scalar_operand(&ops[0], value, state, mem, fx)?;
+            if let Err(fault) = write_scalar_operand(&ops[0], value, state, mem, fx) {
+                state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
+                return Err(fault);
+            }
         }
         Add | Adc | Sub | Sbb | Cmp => {
             let a = read_scalar_operand(&ops[0], state, mem, fx)?;

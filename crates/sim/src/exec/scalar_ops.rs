@@ -106,9 +106,10 @@ pub(super) fn execute(
             write_sop(dst, addr, state, mem, fx)?;
         }
         ExecOp::Push { src } => {
+            // Store first, then lower RSP: a faulting push leaves RSP
+            // untouched (precise faults).
             let value = read_sop(src, state, mem, fx)?;
             let rsp = state.gpr64(Gpr::Rsp).wrapping_sub(8);
-            state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
             let paddr = mem.write_scalar_paddr(rsp, 8, value)?;
             fx.store = Some(MemAccess {
                 vaddr: rsp,
@@ -116,6 +117,7 @@ pub(super) fn execute(
                 width: 8,
                 write: true,
             });
+            state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
         }
         ExecOp::Pop { dst } => {
             let rsp = state.gpr64(Gpr::Rsp);
@@ -126,8 +128,13 @@ pub(super) fn execute(
                 width: 8,
                 write: false,
             });
+            // A memory destination addresses through the raised RSP (as
+            // on x86), but a faulting store must leave RSP untouched.
             state.set_gpr(Gpr::Rsp, OpSize::Q, rsp.wrapping_add(8));
-            write_sop(dst, value, state, mem, fx)?;
+            if let Err(fault) = write_sop(dst, value, state, mem, fx) {
+                state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
+                return Err(fault);
+            }
         }
         ExecOp::Arith {
             sel,

@@ -45,8 +45,8 @@ struct TimingArena {
 /// structural instruction comparison (a hash collision can therefore slow
 /// a lookup down but never corrupt one). Lives in the arena so it
 /// survives [`Machine::recycle`]: the harness profiles one block per
-/// recycle, so every monitor fault-restart, both unroll factors, and each
-/// retry escalation of the same block reuse one lowering instead of
+/// recycle, so every monitor resume after a fault, both unroll factors,
+/// and each retry escalation of the same block reuse one lowering instead of
 /// re-decoding the operand/mnemonic enums per dynamic instruction.
 #[derive(Debug, Default)]
 struct LowerCache {
@@ -234,8 +234,9 @@ impl Machine {
     ///
     /// Returns the first [`ExecFault`] (page fault, divide error, invalid
     /// opcode). State and memory retain the effects of instructions that
-    /// executed before the fault, as on real hardware; the harness always
-    /// re-initializes before retrying.
+    /// executed before the fault and none of the faulting instruction's,
+    /// as on real hardware (precise faults), so the harness's monitor
+    /// resumes at the faulting instruction once it has mapped the page.
     pub fn execute_unrolled(
         &mut self,
         insts: &[Inst],
@@ -247,12 +248,8 @@ impl Machine {
     }
 
     /// Like [`Machine::execute_unrolled`], but fills a caller-owned buffer
-    /// (cleared first) so the harness can reuse one allocation per worker.
-    ///
-    /// Executes over the block's predecoded lowering (see
-    /// `crate::exec::lower`), obtained from the machine's one-entry
-    /// lowering cache: the per-instruction operand/mnemonic decode is paid
-    /// once per block, not once per dynamic instruction of every restart.
+    /// (cleared first) so the harness can reuse one allocation per worker:
+    /// [`Machine::resume_unrolled_into`] from an empty trace.
     ///
     /// # Errors
     ///
@@ -265,6 +262,34 @@ impl Machine {
         trace: &mut Vec<DynInst>,
     ) -> Result<(), ExecFault> {
         trace.clear();
+        self.resume_unrolled_into(insts, unroll, trace)
+    }
+
+    /// Continues an unrolled execution whose first `trace.len()` dynamic
+    /// instructions already ran: the next one executed is dynamic
+    /// instruction `trace.len()`, against the current state and memory.
+    /// After a fault the monitor maps the page and resumes here at the
+    /// faulting instruction instead of re-running the prefix.
+    ///
+    /// Resuming is exact because faults are precise: an instruction that
+    /// faults leaves state and memory as they were before it, and the
+    /// trace is truncated to the completed prefix.
+    ///
+    /// Executes over the block's predecoded lowering (see
+    /// `crate::exec::lower`), obtained from the machine's one-entry
+    /// lowering cache: the per-instruction operand/mnemonic decode is paid
+    /// once per block, not once per dynamic instruction.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ExecFault`]; `trace` holds the instructions
+    /// executed before it.
+    pub fn resume_unrolled_into(
+        &mut self,
+        insts: &[Inst],
+        unroll: u32,
+        trace: &mut Vec<DynInst>,
+    ) -> Result<(), ExecFault> {
         self.ensure_lowered(insts);
         let Machine {
             uarch,
@@ -279,25 +304,36 @@ impl Machine {
         if lowered.uses_avx2 && !uarch.supports_avx2 {
             return Err(ExecFault::InvalidOpcode);
         }
-        // Materialize the whole trace up front with one bulk zeroing pass,
+        // Materialize the rest of the trace with one bulk zeroing pass,
         // then let each kernel call record its effects straight into its
         // slot: no per-instruction 80-byte push temporaries and no
         // `InstEffects` bounced through return values. On a fault the
         // trace is truncated to the completed prefix, matching the
-        // reference loop's push-after-execute order.
-        let total = lowered.ops.len() * unroll as usize;
+        // reference loop's push-after-execute order; a later resume's
+        // resize re-zeroes the faulting slot.
+        let n_ops = lowered.ops.len();
+        let total = n_ops * unroll as usize;
+        let mut filled = trace.len();
+        assert!(
+            filled <= total,
+            "resuming at {filled} of a {total}-instruction execution"
+        );
         trace.resize(total, DynInst::default());
-        let mut filled = 0usize;
-        for copy in 0..unroll {
-            for (static_idx, op) in lowered.ops.iter().enumerate() {
-                let slot = &mut trace[filled];
-                slot.static_idx = static_idx;
-                slot.copy = copy;
-                if let Err(fault) = execute_op(op, state, mem, &mut slot.effects) {
-                    trace.truncate(filled);
-                    return Err(fault);
-                }
-                filled += 1;
+        let (mut copy, mut static_idx) = (filled / n_ops.max(1), filled % n_ops.max(1));
+        while filled < total {
+            let slot = &mut trace[filled];
+            slot.static_idx = static_idx;
+            slot.copy = copy as u32;
+            if let Err(fault) = execute_op(&lowered.ops[static_idx], state, mem, &mut slot.effects)
+            {
+                trace.truncate(filled);
+                return Err(fault);
+            }
+            filled += 1;
+            static_idx += 1;
+            if static_idx == n_ops {
+                static_idx = 0;
+                copy += 1;
             }
         }
         Ok(())
@@ -307,8 +343,7 @@ impl Machine {
     /// `Mnemonic`/`Operand` enums per dynamic instruction via
     /// [`execute_inst`]. It is the semantic reference the lowered path in
     /// [`Machine::execute_unrolled_into`] is differentially tested
-    /// against (`sim/tests/exec_differential.rs`), and the baseline the
-    /// benchmark compares speedups to.
+    /// against (`sim/tests/exec_differential.rs`).
     ///
     /// # Errors
     ///

@@ -12,27 +12,30 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Page size (4 KiB), matching x86-64.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Multiplicative hasher for the page table's `u64` page-number keys.
+/// Multiplicative hasher for the simulator's hot tables: the page
+/// table's `u64` page-number keys and the timing model's per-thread
+/// static-instruction memo (`crate::timing`).
 ///
 /// Address translation runs once or twice per simulated memory access, so
-/// the default SipHash costs more than the table probe itself. Page
-/// numbers are attacker-free simulator-internal values; a single
-/// multiply-xor round spreads them well enough. Nothing observable
-/// iterates the table (page-id dumps are sorted), so the order change is
-/// invisible.
+/// the default SipHash costs more than the table probe itself; a single
+/// multiply-xor round spreads page numbers well enough. Nothing observable
+/// iterates either table (page-id dumps are sorted), so the order change
+/// is invisible. Neither table trusts its hash: the memo compares every
+/// hit structurally and is bounded in size.
 #[derive(Default)]
-struct PageNumberHasher(u64);
+pub(crate) struct FastHasher(u64);
 
-impl Hasher for PageNumberHasher {
+impl Hasher for FastHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 keys (unused by the page table).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
         }
     }
 
@@ -41,9 +44,31 @@ impl Hasher for PageNumberHasher {
         let h = (n ^ self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 = h ^ (h >> 32);
     }
+
+    // A derived `Hash` (the memo's instructions) writes small integers:
+    // one round each, not one per byte.
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
 }
 
-type PageTable = HashMap<u64, PhysPage, BuildHasherDefault<PageNumberHasher>>;
+type PageTable = HashMap<u64, PhysPage, BuildHasherDefault<FastHasher>>;
 
 /// Identifier of a physical page inside the simulated machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]

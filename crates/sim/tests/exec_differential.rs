@@ -9,7 +9,9 @@
 
 use bhive_asm::fnv1a_64;
 use bhive_corpus::{generate_block, Application};
-use bhive_sim::{DynInst, ExecFault, Machine, Memory, NoiseConfig, PhysPage};
+use bhive_sim::{
+    execute_inst, CpuState, DynInst, ExecFault, Machine, Memory, NoiseConfig, PhysPage, PAGE_SIZE,
+};
 use bhive_uarch::Uarch;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -266,4 +268,144 @@ fn lowering_cache_is_invisible_to_run() {
         stats.hits > 0,
         "run() never hit the lowering cache: {stats:?}"
     );
+}
+
+/// One memory-heavy instruction chosen by the bits of `pick`: stores and
+/// loads near page boundaries, pushes and pops (with `pop m` addressing
+/// through the raised RSP), read-modify-writes and vector accesses.
+fn faulting_inst_text(pick: u64) -> String {
+    let b = ["rbx", "rsi", "rsp", "rdi"][(pick >> 8) as usize % 4];
+    let v = ["rax", "rcx", "rdx", "r9"][(pick >> 16) as usize % 4];
+    let d = [
+        "",
+        " + 8",
+        " - 8",
+        " + 0xffc",
+        " + 0xff9",
+        " + 0x1000",
+        " - 0x2000",
+    ][(pick >> 24) as usize % 7];
+    let m = format!("[{b}{d}]");
+    match pick % 16 {
+        0 => format!("mov {v}, qword ptr {m}"),
+        1 => format!("mov qword ptr {m}, {v}"),
+        2 => format!("push qword ptr {m}"),
+        3 => format!("push {v}"),
+        4 => format!("pop {v}"),
+        5 => format!("pop qword ptr {m}"),
+        6 => format!("add qword ptr {m}, {v}"),
+        7 => format!("adc dword ptr {m}, 3"),
+        8 => format!("shr qword ptr {m}, 1"),
+        9 => format!("sub qword ptr {m}, {v}"),
+        10 => format!("movups xmmword ptr {m}, xmm1"),
+        11 => format!("addps xmm2, xmmword ptr {m}"),
+        12 => format!("vmovdqu ymm3, ymmword ptr {m}"),
+        13 => format!("cmovne {v}, qword ptr {m}"),
+        14 => format!("setb byte ptr {m}"),
+        _ => format!("add {b}, 0x800"),
+    }
+}
+
+/// The bytes of every page in `pages`, in order.
+fn mapped_bytes(mem: &Memory, pages: &[u64]) -> Vec<u8> {
+    let mut out = vec![0u8; pages.len() * PAGE_SIZE as usize];
+    for (&page, buf) in pages.iter().zip(out.chunks_exact_mut(PAGE_SIZE as usize)) {
+        mem.read(page, buf).expect("mapped page");
+    }
+    out
+}
+
+/// Executes `unroll` copies of `block` one instruction at a time through
+/// the reference interpreter and, alongside, through the lowered one by
+/// resuming after each fault. At every page fault, both must have left
+/// registers, flags and every mapped byte exactly as they were before
+/// the faulting instruction; the page is then mapped and both resume.
+fn seg_faults_are_precise_on(
+    block: &bhive_asm::BasicBlock,
+    unroll: u32,
+) -> Result<(), TestCaseError> {
+    let insts = block.insts();
+    let total = insts.len() * unroll as usize;
+    let mut state = CpuState::new();
+    state.reset_with_fill(FILL);
+    let mut mem = Memory::new();
+    let mut lowered = Machine::new(Uarch::haswell(), 0);
+    lowered.reset(FILL);
+    let mut trace = Vec::new();
+    let mut frames: Option<(PhysPage, PhysPage)> = None;
+    let mut pages = Vec::new();
+    let mut i = 0;
+    while i < total {
+        let inst = &insts[i % insts.len()];
+        let before = (state.clone(), mem.clone());
+        match execute_inst(inst, &mut state, &mut mem) {
+            Ok(_) => i += 1,
+            Err(ExecFault::Seg(fault)) => {
+                prop_assert_eq!(
+                    &state,
+                    &before.0,
+                    "reference state after `{}` faulted",
+                    inst
+                );
+                prop_assert!(
+                    mapped_bytes(&mem, &pages) == mapped_bytes(&before.1, &pages),
+                    "reference memory after `{}` faulted",
+                    inst
+                );
+                let low = lowered.resume_unrolled_into(insts, unroll, &mut trace);
+                prop_assert_eq!(low, Err(ExecFault::Seg(fault)), "lowered fault at {}", i);
+                prop_assert_eq!(trace.len(), i, "lowered fault position");
+                prop_assert_eq!(
+                    lowered.state(),
+                    &before.0,
+                    "lowered state after `{}` faulted",
+                    inst
+                );
+                prop_assert!(
+                    mapped_bytes(lowered.memory(), &pages) == mapped_bytes(&before.1, &pages),
+                    "lowered memory after `{}` faulted",
+                    inst
+                );
+                if !(0x1000..1 << 47).contains(&fault.vaddr) || pages.len() >= 64 {
+                    return Ok(());
+                }
+                let (ref_frame, low_frame) = *frames.get_or_insert_with(|| {
+                    (mem.alloc_page(FILL), lowered.memory_mut().alloc_page(FILL))
+                });
+                mem.map(fault.vaddr, ref_frame);
+                lowered.memory_mut().map(fault.vaddr, low_frame);
+                pages.push(fault.vaddr & !(PAGE_SIZE - 1));
+            }
+            // #DE, #GP: terminal for the monitor; only page faults resume.
+            Err(_) => return Ok(()),
+        }
+    }
+    prop_assert_eq!(
+        lowered.resume_unrolled_into(insts, unroll, &mut trace),
+        Ok(())
+    );
+    prop_assert_eq!(lowered.state(), &state);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Page faults are precise in both interpreters, over memory-heavy
+    /// random blocks and generated corpus blocks: the monitor's
+    /// resume-at-fault depends on it.
+    #[test]
+    fn seg_faults_are_precise(
+        picks in proptest::collection::vec(any::<u64>(), 1..6),
+        seed in any::<u64>(),
+        app_idx in 0usize..12,
+        unroll in 1u32..12,
+    ) {
+        let text = picks.iter().map(|&p| faulting_inst_text(p)).collect::<Vec<_>>().join("\n");
+        let block = bhive_asm::parse_block(&text).unwrap();
+        seg_faults_are_precise_on(&block, unroll)?;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let block = generate_block(Application::ALL[app_idx], &mut rng);
+        seg_faults_are_precise_on(&block, unroll)?;
+    }
 }

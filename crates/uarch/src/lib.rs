@@ -48,5 +48,5 @@ pub use overrides::{
     FITTED_TABLES_SCHEMA,
 };
 pub use ports::{Port, PortSet};
-pub use tables::{decompose, decompose_cached, entry_key, port_vocabulary};
+pub use tables::{decompose, entry_key, port_vocabulary};
 pub use uop::{Recipe, Uop, UopKind, VarLat};

@@ -148,53 +148,6 @@ pub fn entry_key(inst: &Inst) -> Option<&'static str> {
     })
 }
 
-/// Memoized [`decompose`]. Corpus traffic decomposes the same static
-/// instructions over and over — every profiling attempt rebuilds its
-/// timing model, and real corpora repeat hot instructions endlessly — so
-/// recipes are cached in a per-thread table keyed by `(uarch, inst)`.
-/// Returns exactly what [`decompose`] returns; the table is bounded and
-/// cleared wholesale when it exceeds [`DECOMPOSE_MEMO_CAP`] entries.
-pub fn decompose_cached(inst: &Inst, uarch: &Uarch) -> Recipe {
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
-
-    type Memo = HashMap<u64, Vec<(UarchKind, u64, Inst, Recipe)>>;
-    const DECOMPOSE_MEMO_CAP: usize = 8192;
-    thread_local! {
-        static MEMO: RefCell<Memo> = RefCell::new(HashMap::new());
-    }
-
-    // The table fingerprint keys the memo alongside the kind: two
-    // descriptions of the same kind with different fitted overrides
-    // decompose differently and must never share an entry.
-    let table_fp = uarch.table_fingerprint();
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    uarch.kind.hash(&mut hasher);
-    table_fp.hash(&mut hasher);
-    inst.hash(&mut hasher);
-    let key = hasher.finish();
-
-    MEMO.with(|memo| {
-        let mut memo = memo.borrow_mut();
-        if let Some(bucket) = memo.get(&key) {
-            for (kind, fp, cached_inst, recipe) in bucket {
-                if *kind == uarch.kind && *fp == table_fp && cached_inst == inst {
-                    return recipe.clone();
-                }
-            }
-        }
-        let recipe = decompose(inst, uarch);
-        if memo.len() >= DECOMPOSE_MEMO_CAP {
-            memo.clear();
-        }
-        memo.entry(key)
-            .or_default()
-            .push((uarch.kind, table_fp, inst.clone(), recipe.clone()));
-        recipe
-    })
-}
-
 /// True for register-to-register moves eliminated at rename (Haswell+).
 fn is_eliminable_move(inst: &Inst) -> bool {
     use Mnemonic::*;
@@ -730,21 +683,6 @@ mod tests {
         // Other rows and the shipped description are untouched.
         assert_eq!(recipe("add rax, rbx", &patched).uops[0].latency, 1);
         assert_eq!(recipe("imul rax, rbx", hsw()).uops[0].ports, ports!(1));
-    }
-
-    #[test]
-    fn cached_decompose_respects_table_fingerprints() {
-        let inst = parse_inst("imul rax, rbx").unwrap();
-        let shipped = decompose_cached(&inst, hsw());
-        let mut ov = crate::TableOverrides::new();
-        ov.set("mul", 7, ports!(5));
-        let patched = hsw().with_overrides(ov);
-        let overridden = decompose_cached(&inst, &patched);
-        assert_eq!(shipped.uops[0].latency, 3);
-        assert_eq!(overridden.uops[0].latency, 7);
-        // And again from the memo, both ways round.
-        assert_eq!(decompose_cached(&inst, &patched).uops[0].latency, 7);
-        assert_eq!(decompose_cached(&inst, hsw()).uops[0].latency, 3);
     }
 
     #[test]

@@ -13,6 +13,10 @@ cargo test -q
 # cycle loop's debug_assert! bound checks are compiled out and the
 # unchecked indexing that ships is what runs.
 cargo test -q --release -p bhive-sim --test differential
+# The pinned measurement hash and the resuming-versus-restarting monitor
+# differential, also against release codegen.
+cargo test -q --release -p bhive-harness --test pinned
+cargo test -q --release -p bhive-harness --test monitor_resume
 cargo build --examples
 # CLI smoke: a supervised run with a retry budget exits 0 and reports.
 cargo run -q --release -p bhive -- profile --retries 2 <<'EOF'

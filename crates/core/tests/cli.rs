@@ -137,10 +137,14 @@ fn table5_is_identical_at_any_thread_count_cold_and_warm() {
         let report = std::fs::read(dir.join(pass).join("run_report.json")).unwrap();
         (out.stdout, report)
     };
+    // Three workers is more than Table 5 has uarches, so its cells
+    // (not just its uarches) run concurrently.
     let (cold1, cold1_report) = run("cold-1", "1", "cache-1");
     let (cold2, cold2_report) = run("cold-2", "2", "cache-2");
+    let (cold3, cold3_report) = run("cold-3", "3", "cache-3");
     let (warm1, warm1_report) = run("warm-1", "1", "cache-2");
-    let (warm2, warm2_report) = run("warm-2", "2", "cache-1");
+    let (warm2, warm2_report) = run("warm-2", "2", "cache-3");
+    let (warm3, warm3_report) = run("warm-3", "3", "cache-1");
 
     let rows = String::from_utf8_lossy(&cold1);
     assert!(rows.contains(r#""id": "table5""#), "{rows}");
@@ -148,10 +152,17 @@ fn table5_is_identical_at_any_thread_count_cold_and_warm() {
         cold1, cold2,
         "cold stdout differs between --threads 1 and 2"
     );
+    assert_eq!(
+        cold1, cold3,
+        "cold stdout differs between --threads 1 and 3"
+    );
     assert_eq!(cold1, warm1, "warm stdout differs from cold (--threads 1)");
     assert_eq!(cold1, warm2, "warm stdout differs from cold (--threads 2)");
+    assert_eq!(cold1, warm3, "warm stdout differs from cold (--threads 3)");
     assert_eq!(cold1_report, cold2_report, "cold run_report.json differs");
+    assert_eq!(cold1_report, cold3_report, "cold run_report.json differs");
     assert_eq!(warm1_report, warm2_report, "warm run_report.json differs");
+    assert_eq!(warm1_report, warm3_report, "warm run_report.json differs");
     assert_ne!(cold1_report, warm1_report, "the warm runs read the cache");
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,7 +1,7 @@
 //! Tables 1–6.
 
 use crate::report::{fmt_f, fmt_pct, Report};
-use crate::{Category, CorpusKind, EvalRun, Pipeline};
+use crate::{Category, CorpusKind, EvalRun, Pipeline, ITHEMAL_INDEX, MODEL_COUNT};
 use bhive_corpus::{special, Application};
 use bhive_harness::{profile_corpus, PageMapping, ProfileConfig, Profiler, UnrollStrategy};
 use bhive_learn::stats;
@@ -210,9 +210,9 @@ pub fn table4(pipeline: &Pipeline) -> Report {
 ///
 /// Only the overall error is reported, and it never reads a block's
 /// category, so no classifier is fitted. The six datasets are measured
-/// concurrently, then each microarchitecture trains its Ithemal and
-/// evaluates the four models on its own task, on up to `min(threads, 3)`
-/// workers; the rows keep the fixed uarch × model order.
+/// concurrently, then the twelve (uarch, model) cells are evaluated on
+/// up to `min(threads, 12)` workers, the three Ithemal cells (which
+/// train) first; the rows keep the fixed uarch × model order.
 pub fn table5(pipeline: &Pipeline) -> Report {
     let mut report = Report::new(
         "table5",
@@ -243,33 +243,35 @@ pub fn table5(pipeline: &Pipeline) -> Report {
         .flat_map(|uarch| [(CorpusKind::Main, uarch), (CorpusKind::Training, uarch)])
         .collect();
     pipeline.measure_all(&pairs);
-    let cells = pipeline.par_map(&UarchKind::ALL, |&uarch| {
-        let data = pipeline.measured(CorpusKind::Main, uarch);
-        pipeline
-            .models(uarch)
-            .iter()
-            .map(|model| {
-                (
-                    model.name(),
-                    EvalRun::overall_error_of(model.as_ref(), &data),
-                )
-            })
-            .collect::<Vec<_>>()
+    let data = UarchKind::ALL.map(|uarch| pipeline.measured(CorpusKind::Main, uarch));
+    // (uarch position, model index) cells. The Ithemal cells go first:
+    // each trains its uarch's model, the longest tasks of the twelve.
+    let (ithemal, analytical): (Vec<_>, Vec<_>) = (0..UarchKind::ALL.len())
+        .flat_map(|u| (0..MODEL_COUNT).map(move |m| (u, m)))
+        .partition(|&(_, m)| m == ITHEMAL_INDEX);
+    let cells: Vec<(usize, usize)> = ithemal.into_iter().chain(analytical).collect();
+    let errors = pipeline.par_map(&cells, |&(u, m)| {
+        let model = pipeline.model(UarchKind::ALL[u], m);
+        (
+            model.name(),
+            EvalRun::overall_error_of(model.as_ref(), &data[u]),
+        )
     });
-    for (uarch, row) in UarchKind::ALL.into_iter().zip(cells) {
-        for (model, error) in row {
-            let paper_val = paper
-                .iter()
-                .find(|(u, m, _)| *u == uarch.name() && *m == model)
-                .map(|(_, _, v)| fmt_f(*v))
-                .unwrap_or_default();
-            report.push_row(vec![
-                uarch.name().into(),
-                model.into(),
-                fmt_f(error),
-                paper_val,
-            ]);
-        }
+    let mut rows: Vec<_> = cells.into_iter().zip(errors).collect();
+    rows.sort_unstable_by_key(|&(cell, _)| cell);
+    for ((u, _), (model, error)) in rows {
+        let uarch = UarchKind::ALL[u];
+        let paper_val = paper
+            .iter()
+            .find(|(name, m, _)| *name == uarch.name() && *m == model)
+            .map(|(_, _, v)| fmt_f(*v))
+            .unwrap_or_default();
+        report.push_row(vec![
+            uarch.name().into(),
+            model.into(),
+            fmt_f(error),
+            paper_val,
+        ]);
     }
     report.note("AVX2 blocks excluded on Ivy Bridge, as in the paper");
     report

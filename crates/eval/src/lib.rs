@@ -359,14 +359,32 @@ impl Pipeline {
     /// The paper's four models for one microarchitecture, in the paper's
     /// reporting order (IACA, llvm-mca, Ithemal, OSACA).
     pub fn models(&self, uarch: UarchKind) -> Vec<Box<dyn ThroughputModel>> {
-        vec![
-            Box::new(IacaModel::new(uarch)),
-            Box::new(McaModel::new(uarch)),
-            Box::new(IthemalArc(self.ithemal(uarch))),
-            Box::new(OsacaModel::new(uarch)),
-        ]
+        (0..MODEL_COUNT)
+            .map(|index| self.model(uarch, index))
+            .collect()
+    }
+
+    /// Model `index` of [`Pipeline::models`]`(uarch)`, built alone: only
+    /// the Ithemal index trains (or fetches) [`Pipeline::ithemal`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the model count, four.
+    pub fn model(&self, uarch: UarchKind, index: usize) -> Box<dyn ThroughputModel> {
+        match index {
+            0 => Box::new(IacaModel::new(uarch)),
+            1 => Box::new(McaModel::new(uarch)),
+            ITHEMAL_INDEX => Box::new(IthemalArc(self.ithemal(uarch))),
+            3 => Box::new(OsacaModel::new(uarch)),
+            _ => panic!("model index {index} out of range: there are {MODEL_COUNT} models"),
+        }
     }
 }
+
+/// How many models [`Pipeline::models`] returns per microarchitecture.
+pub(crate) const MODEL_COUNT: usize = 4;
+/// Ithemal's index in [`Pipeline::models`], the one model that trains.
+pub(crate) const ITHEMAL_INDEX: usize = 2;
 
 /// Adapter so the cached Ithemal model can be boxed alongside the others.
 struct IthemalArc(Arc<IthemalModel>);

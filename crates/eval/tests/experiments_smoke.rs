@@ -43,6 +43,18 @@ fn table5_covers_all_uarch_model_pairs() {
     let p = pipeline();
     let report = experiments::table5(&p);
     check_report(&report, Some(12));
+    // The rows keep the fixed uarch × model order, whatever order the
+    // cells ran in.
+    let cells: Vec<(&str, &str)> = report
+        .rows
+        .iter()
+        .map(|row| (row[0].as_str(), row[1].as_str()))
+        .collect();
+    let expected: Vec<(&str, &str)> = UarchKind::ALL
+        .iter()
+        .flat_map(|uarch| ["iaca", "llvm-mca", "ithemal", "osaca"].map(|m| (uarch.name(), m)))
+        .collect();
+    assert_eq!(cells, expected);
     // Every row's error parses as a finite number.
     for row in &report.rows {
         let err: f64 = row[2]

@@ -337,8 +337,8 @@ struct RecordBody {
 }
 
 /// One JSONL line: checksum + body. The checksum is FNV-1a over the
-/// body's canonical JSON, which the (deterministic) serializer reproduces
-/// on read.
+/// body's canonical JSON, which [`record_line`] writes verbatim, so a
+/// read checks the bytes on disk ([`checked_record`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Record {
     sum: u64,
@@ -348,6 +348,29 @@ struct Record {
 fn body_checksum(body: &RecordBody) -> std::io::Result<u64> {
     let json = serde_json::to_string(body).map_err(std::io::Error::other)?;
     Ok(fnv1a_64(json.as_bytes()))
+}
+
+/// The record on one log line (newline trimmed), or `None` when the line
+/// does not parse or fails its checksum.
+///
+/// [`record_line`] writes `{"sum":N,"body":<canonical body>}`, so the
+/// body bytes on disk are what the sum covers: hashing that slice checks
+/// a line without re-serializing its body. Only when the slice does not
+/// hash to the sum (the line is corrupt, or a valid record spelled in
+/// another byte form, say with whitespace) is the parsed body
+/// re-serialized and checked canonically, as every line once was.
+fn checked_record(text: &str) -> Option<Record> {
+    let record = serde_json::from_str::<Record>(text).ok()?;
+    if raw_body(text).is_some_and(|body| fnv1a_64(body.as_bytes()) == record.sum) {
+        return Some(record);
+    }
+    (body_checksum(&record.body).ok()? == record.sum).then_some(record)
+}
+
+/// The body bytes of a line in [`record_line`]'s layout.
+fn raw_body(text: &str) -> Option<&str> {
+    let rest = text.strip_prefix("{\"sum\":")?;
+    rest.split_once(",\"body\":")?.1.strip_suffix('}')
 }
 
 /// The JSONL line (without its newline) of the [`Record`] holding
@@ -492,13 +515,9 @@ pub(crate) fn scan_live_records(
         let Ok(text) = std::str::from_utf8(&line) else {
             break;
         };
-        let Ok(record) = serde_json::from_str::<Record>(text.trim_end()) else {
+        let Some(record) = checked_record(text.trim_end()) else {
             break;
         };
-        match body_checksum(&record.body) {
-            Ok(sum) if sum == record.sum => {}
-            _ => break,
-        }
         if record.body.uarch == uarch
             && record.body.fp == fp
             && !record.body.outcome.is_transient_failure()
@@ -752,13 +771,9 @@ impl MeasurementCache {
         // only decides validity (shape + checksum) and files each valid
         // record away.
         let (file, recovery) = recover_jsonl(file, |text| {
-            let Ok(record) = serde_json::from_str::<Record>(text) else {
+            let Some(record) = checked_record(text) else {
                 return false;
             };
-            match body_checksum(&record.body) {
-                Ok(sum) if sum == record.sum => {}
-                _ => return false,
-            }
             if record.body.uarch != uarch || record.body.fp != fingerprint {
                 report.stale_evictions += 1;
                 stale_on_disk += 1;
@@ -1107,7 +1122,12 @@ mod tests {
                 outcome: outcome.clone(),
             };
             let record = Record { sum: body_checksum(&body).unwrap(), body: body.clone() };
-            prop_assert_eq!(record_line(&body).unwrap(), serde_json::to_string(&record).unwrap());
+            let line = record_line(&body).unwrap();
+            prop_assert_eq!(&line, &serde_json::to_string(&record).unwrap());
+            // Every written line passes on its raw body, with no
+            // re-serialization.
+            prop_assert_eq!(raw_body(&line).map(|b| fnv1a_64(b.as_bytes())), Some(record.sum));
+            prop_assert_eq!(checked_record(&line), Some(record));
 
             let dir = temp_dir("record-line");
             {
@@ -1120,6 +1140,87 @@ mod tests {
             drop(cache);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// Two records written by `insert`, and the log they live in.
+    fn log_of_two(tag: &str) -> (PathBuf, PathBuf, u64) {
+        let dir = temp_dir(tag);
+        let mut cache =
+            MeasurementCache::open(&dir, UarchKind::Haswell, &ProfileConfig::bhive()).unwrap();
+        cache.insert(1, sample_failure()).unwrap();
+        cache.insert(2, sample_failure()).unwrap();
+        (dir, cache.path().to_path_buf(), cache.fingerprint())
+    }
+
+    #[test]
+    fn record_in_another_byte_form_loads_through_the_fallback() {
+        let (dir, path, fp) = log_of_two("respelled");
+        // Respell the first record's body with whitespace around every
+        // `,` and `:` (its strings hold neither): still valid JSON, still
+        // the same record, but no longer the bytes the sum was taken of.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (first, rest) = text.split_once('\n').unwrap();
+        let (head, body) = first.split_once(",\"body\":").unwrap();
+        let spaced = body.replace(',', " , ").replace(':', " : ");
+        let respelled = format!("{head},\"body\": {spaced}");
+        let record = checked_record(first).unwrap();
+        assert_ne!(
+            fnv1a_64(raw_body(&respelled).unwrap().as_bytes()),
+            record.sum
+        );
+        assert_eq!(checked_record(&respelled), Some(record));
+        let text = format!("{respelled}\n{rest}");
+        std::fs::write(&path, &text).unwrap();
+
+        assert_eq!(
+            scan_live_records(&path, UarchKind::Haswell, fp)
+                .unwrap()
+                .len(),
+            2
+        );
+        let cache =
+            MeasurementCache::open(&dir, UarchKind::Haswell, &ProfileConfig::bhive()).unwrap();
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.open_report().dropped_bytes, 0);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            text,
+            "nothing truncated"
+        );
+        drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn flipped_body_digit_is_rejected_by_open_and_scan() {
+        let (dir, path, fp) = log_of_two("body-digit");
+        // Flip the last digit of the second record's body (its `vaddr`),
+        // leaving the sum as written.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let first_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let victim = bytes.iter().rposition(u8::is_ascii_digit).unwrap();
+        let body_start = first_len
+            + bytes[first_len..]
+                .windows(7)
+                .position(|w| w == b"\"body\":")
+                .unwrap();
+        assert!(victim > body_start, "the digit is in the body");
+        bytes[victim] = if bytes[victim] == b'9' { b'8' } else { b'9' };
+        std::fs::write(&path, &bytes).unwrap();
+
+        // The lock-free scan stops before the record and leaves the file.
+        let live = scan_live_records(&path, UarchKind::Haswell, fp).unwrap();
+        assert_eq!(live.iter().map(|r| r.0).collect::<Vec<_>>(), [1]);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        // Open drops it and truncates the log back to the first record.
+        let cache =
+            MeasurementCache::open(&dir, UarchKind::Haswell, &ProfileConfig::bhive()).unwrap();
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(2).is_none());
+        assert_eq!(cache.open_report().dropped_records, 1);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), first_len as u64);
+        drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

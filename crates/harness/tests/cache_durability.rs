@@ -1,7 +1,8 @@
 //! Durability properties of the on-disk measurement cache: records
 //! round-trip bit-for-bit (successes and every failure variant), a torn
-//! tail is recovered from, stale fingerprints are evicted, and a warm
-//! rerun of a ≥1k-block corpus is bit-identical to the cold run.
+//! tail is recovered from, stale fingerprints are evicted, a warm rerun
+//! of a ≥1k-block corpus is bit-identical to the cold run, and the
+//! record set a cold run writes does not depend on its thread count.
 
 use bhive_asm::parse_block;
 use bhive_corpus::{Corpus, Scale};
@@ -307,4 +308,48 @@ fn cache_file_bytes_are_reproducible() {
 
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// With more than one worker, records are appended in completion order,
+/// so two cold runs can write the same records in different byte orders.
+/// What holds at any thread count is the record *set*: the sorted lines
+/// equal a single-thread run's, and compaction (which writes records in
+/// key order) makes the files byte-identical.
+#[test]
+fn two_thread_cache_files_hold_the_same_records() {
+    let config = ProfileConfig::bhive().quiet();
+    let profiler = Profiler::new(Uarch::haswell(), config.clone());
+    let blocks = Corpus::generate(Scale::PerApp(40), 5).basic_blocks();
+
+    let bytes_of =
+        |dir: &PathBuf| std::fs::read(MeasurementCache::log_path(dir, UarchKind::Haswell)).unwrap();
+    let sorted_lines = |bytes: &[u8]| {
+        let mut lines: Vec<Vec<u8>> = bytes.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+        lines.sort();
+        lines
+    };
+    // One cold run at `threads`: the log as appended, then as compacted.
+    let cold_run = |tag: &str, threads: usize| {
+        let dir = temp_dir(tag);
+        let mut cache = MeasurementCache::open(&dir, UarchKind::Haswell, &config).unwrap();
+        profile_corpus_cached(&profiler, &blocks, threads, Some(&mut cache));
+        let appended = bytes_of(&dir);
+        cache.compact().unwrap();
+        drop(cache);
+        let compacted = bytes_of(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        (appended, compacted)
+    };
+
+    let (serial, serial_compacted) = cold_run("order-1t", 1);
+    assert!(!serial.is_empty());
+    for tag in ["order-2t-a", "order-2t-b"] {
+        let (appended, compacted) = cold_run(tag, 2);
+        assert_eq!(
+            sorted_lines(&appended),
+            sorted_lines(&serial),
+            "{tag}: same records"
+        );
+        assert_eq!(compacted, serial_compacted, "{tag}: compacted bytes");
+    }
 }

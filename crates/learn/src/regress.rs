@@ -69,6 +69,13 @@ impl SgdRegressor {
             }
         }
 
+        // Scale every feature once, into one row-major matrix. The epochs
+        // then read the same quotients they would compute afresh.
+        let scaled: Vec<f64> = xs
+            .iter()
+            .flat_map(|x| x.iter().zip(&scales).map(|(&v, s)| v / s))
+            .collect();
+
         let mut weights = vec![0f64; dims];
         let mut bias = ys.iter().sum::<f64>() / ys.len() as f64;
         let mut order: Vec<usize> = (0..xs.len()).collect();
@@ -78,14 +85,15 @@ impl SgdRegressor {
             let lr = config.learning_rate / (1.0 + epoch as f64 * 0.15);
             order.shuffle(&mut rng);
             for &i in &order {
+                let row = &scaled[i * dims..(i + 1) * dims];
                 let mut pred = bias;
-                for ((w, s), &v) in weights.iter().zip(&scales).zip(&xs[i]) {
-                    pred += w * (v / s);
+                for (w, &v) in weights.iter().zip(row) {
+                    pred += w * v;
                 }
                 let err = pred - ys[i];
                 bias -= lr * err;
-                for ((w, s), &v) in weights.iter_mut().zip(&scales).zip(&xs[i]) {
-                    *w -= lr * (err * (v / s) + config.l2 * *w);
+                for (w, &v) in weights.iter_mut().zip(row) {
+                    *w -= lr * (err * v + config.l2 * *w);
                 }
             }
         }
@@ -119,7 +127,87 @@ impl SgdRegressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::Rng;
+
+    /// Training as it was before the features were scaled up front: the
+    /// same epochs and shuffles, dividing every feature by its scale at
+    /// each use. `train` must match it bit for bit.
+    fn train_dividing_every_step(
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        config: SgdConfig,
+    ) -> (Vec<f64>, f64) {
+        let dims = xs[0].len();
+        let mut scales = vec![0f64; dims];
+        for x in xs {
+            for (s, &v) in scales.iter_mut().zip(x) {
+                *s = s.max(v.abs());
+            }
+        }
+        for s in &mut scales {
+            if *s == 0.0 {
+                *s = 1.0;
+            }
+        }
+        let mut weights = vec![0f64; dims];
+        let mut bias = ys.iter().sum::<f64>() / ys.len() as f64;
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        let mut rng = SmallRng::seed_from_u64(config.seed);
+        for epoch in 0..config.epochs {
+            let lr = config.learning_rate / (1.0 + epoch as f64 * 0.15);
+            order.shuffle(&mut rng);
+            for &i in &order {
+                let mut pred = bias;
+                for ((w, s), &v) in weights.iter().zip(&scales).zip(&xs[i]) {
+                    pred += w * (v / s);
+                }
+                let err = pred - ys[i];
+                bias -= lr * err;
+                for ((w, s), &v) in weights.iter_mut().zip(&scales).zip(&xs[i]) {
+                    *w -= lr * (err * (v / s) + config.l2 * *w);
+                }
+            }
+        }
+        (weights, bias)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn scaling_once_matches_dividing_every_step(
+            dims in 0usize..9,
+            samples in 1usize..40,
+            epochs in 0usize..30,
+            lr_milli in 1u32..300,
+            l2_exp in 0u32..8,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Mixed magnitudes and signs, with some all-zero columns so
+            // the unit-scale fallback is exercised too.
+            let zero_col = rng.gen_range(0..dims.max(1) + 2);
+            let xs: Vec<Vec<f64>> = (0..samples)
+                .map(|_| {
+                    (0..dims)
+                        .map(|d| if d == zero_col { 0.0 } else { rng.gen_range(-1e3..1e3) * rng.gen::<f64>() })
+                        .collect()
+                })
+                .collect();
+            let ys: Vec<f64> = (0..samples).map(|_| rng.gen_range(-5.0..5.0)).collect();
+            let config = SgdConfig {
+                epochs,
+                learning_rate: f64::from(lr_milli) / 1000.0,
+                l2: 10f64.powi(-(l2_exp as i32)),
+                seed,
+            };
+            let model = SgdRegressor::train(&xs, &ys, config);
+            let (weights, bias) = train_dividing_every_step(&xs, &ys, config);
+            let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&model.weights), bits(&weights));
+            prop_assert_eq!(model.bias.to_bits(), bias.to_bits());
+        }
+    }
 
     #[test]
     fn learns_linear_function() {

@@ -9,6 +9,10 @@ cargo build --release
 # crate under crates/, so this runs every member's unit, integration
 # and doc tests (the vendored dependency subsets are left out).
 cargo test -q
+# The vendored dependency subsets' own tests, which the line above
+# leaves out: the JSON parser and printer every cache line, trace event
+# and serve request goes through, and the test harness itself.
+cargo test -q -p serde_json -p serde -p serde_derive -p rand -p proptest
 # The simulator differentials again against release codegen, where the
 # cycle loop's debug_assert! bound checks are compiled out and the
 # unchecked indexing that ships is what runs.

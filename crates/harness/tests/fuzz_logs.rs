@@ -211,3 +211,32 @@ fn valid_logs_open_whole() {
     assert_eq!(TraceLog::open(&trace).unwrap().recovery(), None);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A cache log and a trace log written by `bhive measure --scale 1 --seed 1
+/// --uarch hsw --cache ... --trace ...` before the JSON parser rejected raw
+/// control characters in strings. The printer has always escaped them, so
+/// every line of both logs must still load.
+#[test]
+fn logs_from_an_earlier_build_still_load() {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let dir = temp_dir("earlier-build");
+    let cache_log = std::fs::read(data.join("measurements-hsw.jsonl")).unwrap();
+    std::fs::write(
+        MeasurementCache::log_path(&dir, UarchKind::Haswell),
+        &cache_log,
+    )
+    .unwrap();
+    let cache = MeasurementCache::open(&dir, UarchKind::Haswell, &ProfileConfig::bhive()).unwrap();
+    let report = cache.open_report();
+    let lines = cache_log.iter().filter(|&&b| b == b'\n').count();
+    assert_eq!((report.dropped_records, report.dropped_bytes), (0, 0));
+    assert_eq!(report.loaded, lines, "{report:?}");
+    drop(cache);
+
+    let trace_path = dir.join("trace.jsonl");
+    std::fs::copy(data.join("trace.jsonl"), &trace_path).unwrap();
+    let trace = TraceLog::open(&trace_path).unwrap();
+    assert_eq!(trace.recovery(), None);
+    drop(trace);
+    let _ = std::fs::remove_dir_all(&dir);
+}

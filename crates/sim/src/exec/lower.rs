@@ -1,8 +1,8 @@
 //! Lowering from [`Inst`] to the predecoded IR.
 //!
 //! Runs once per block (the machine caches the result keyed by block
-//! content), taking every decode decision the interpreters used to take
-//! per dynamic instruction: the SSE/scalar split, operand shapes, lane
+//! content), taking every decode decision an interpreter would take per
+//! dynamic instruction: the SSE/scalar split, operand shapes, lane
 //! and operand widths, VEX-ness, shuffle/shift immediates, and the
 //! block-level AVX2 requirement the executor used to rescan on every
 //! monitor restart.
@@ -28,8 +28,7 @@ pub(crate) fn lower_block(insts: &[Inst]) -> LoweredBlock {
     }
 }
 
-/// Lowers one instruction, deciding the SSE/scalar split exactly as
-/// [`super::execute_inst`] does.
+/// Lowers one instruction to the scalar or the vector kernel.
 pub(crate) fn lower_inst(inst: &Inst) -> ExecOp {
     if inst.mnemonic().is_sse() {
         lower_vector(inst)
@@ -178,8 +177,8 @@ fn lower_scalar(inst: &Inst) -> ExecOp {
     }
 }
 
-/// Replicates the reference `split_ops`: `(dst, srcs)` for both legacy
-/// (`dst = op(dst, src)`) and VEX (`dst = op(src1, src2)`) conventions.
+/// `(dst, srcs)` for both legacy (`dst = op(dst, src)`) and VEX
+/// (`dst = op(src1, src2)`) conventions.
 fn split_ops(inst: &Inst) -> (&Operand, &Operand, &Operand) {
     let ops = inst.operands();
     match ops.len() {
@@ -191,7 +190,7 @@ fn split_ops(inst: &Inst) -> (&Operand, &Operand, &Operand) {
     }
 }
 
-/// Replicates the reference `vec_width_of`.
+/// The width of the first vector operand (16 bytes without one).
 fn vec_width_of(inst: &Inst) -> u8 {
     inst.operands()
         .iter()
@@ -223,6 +222,7 @@ fn lower_vector(inst: &Inst) -> ExecOp {
                     dst: *dst,
                     ea: EaRecipe::from_mem(mm),
                     lane,
+                    vex,
                 },
                 (Operand::Mem(mm), Operand::Vec(src)) => ExecOp::MovssStore {
                     ea: EaRecipe::from_mem(mm),
@@ -254,6 +254,7 @@ fn lower_vector(inst: &Inst) -> ExecOp {
                     dst: vop(&ops[0]),
                     src: vop(&ops[1]),
                     lane,
+                    vex,
                 },
                 (_, Operand::Vec(v)) => ExecOp::MovdFromVec {
                     dst: sop(&ops[0]),

@@ -4,15 +4,14 @@
 //! flat [`ExecOp`]: a compact op tag for direct dispatch, pre-resolved
 //! register references, folded immediates, and a precomputed
 //! effective-address recipe. The unrolled executor then iterates over the
-//! lowered array without ever re-matching `Mnemonic`/`Operand` enums —
-//! the per-dynamic-instruction decode work the old interpreter repeated
-//! on every copy, every monitor restart, and every retry attempt is paid
-//! once per block and cached in the machine's timing arena.
+//! lowered array without ever re-matching `Mnemonic`/`Operand` enums:
+//! decoding is paid once per block and cached in the machine's timing
+//! arena, not on every copy, monitor restart, and retry attempt.
 //!
 //! The kernels that interpret these ops live in [`super::scalar_ops`] and
-//! [`super::vector_ops`]; they are line-by-line transliterations of the
-//! retained reference kernels ([`super::scalar`], [`super::vector`]) and
-//! are pinned bit-for-bit against them by `sim/tests/exec_differential.rs`.
+//! [`super::vector_ops`]. The host CPU referees them:
+//! `sim/tests/native_oracle.rs` runs each block natively and compares
+//! registers, flags the SDM defines, memory, and the fault class.
 
 use super::{ExecFault, InstEffects};
 use crate::mem::Memory;
@@ -50,8 +49,7 @@ impl EaRecipe {
         }
     }
 
-    /// Resolves the address. Identical arithmetic to
-    /// [`super::effective_addr`]: wrapping adds of base, scaled index, and
+    /// Resolves the address: wrapping adds of base, scaled index, and
     /// sign-extended displacement.
     #[inline]
     pub(crate) fn resolve(&self, state: &CpuState) -> u64 {
@@ -87,7 +85,7 @@ pub(crate) enum VOp {
     Mem(EaRecipe),
 }
 
-/// Selector for the scalar add/sub family (one reference match arm).
+/// Selector for the scalar add/sub family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ArithSel {
     Add,
@@ -182,8 +180,7 @@ pub(crate) enum PackedCmpSel {
     Gtd,
 }
 
-/// One predecoded instruction. Each variant corresponds to one match arm
-/// of the reference interpreter, with every decode decision (operand
+/// One predecoded instruction, with every decode decision (operand
 /// shapes, widths, VEX, the SSE/scalar split) already taken.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ExecOp {
@@ -294,6 +291,7 @@ pub(crate) enum ExecOp {
         dst: VecReg,
         ea: EaRecipe,
         lane: u8,
+        vex: bool,
     },
     MovssStore {
         ea: EaRecipe,
@@ -312,6 +310,7 @@ pub(crate) enum ExecOp {
         dst: VOp,
         src: VOp,
         lane: u8,
+        vex: bool,
     },
     MovdFromVec {
         dst: SOp,
@@ -456,9 +455,8 @@ pub(crate) enum ExecOp {
 impl ExecOp {
     /// Whether this op belongs to the vector kernel. The vector variants
     /// are declared contiguously, so this compiles to one discriminant
-    /// range check — the lowered analogue of the reference dispatcher's
-    /// `Inst::is_sse` pre-test, sparing vector ops a walk through the
-    /// scalar kernel's match.
+    /// range check — the lowered form of `Inst::is_sse` — sparing vector
+    /// ops a walk through the scalar kernel's match.
     #[inline]
     pub(crate) fn is_vector(&self) -> bool {
         matches!(
@@ -493,8 +491,7 @@ impl ExecOp {
 }
 
 /// A block lowered once into the flat IR, plus the block-level facts the
-/// executor needs (today: whether any instruction requires AVX2, hoisted
-/// out of the per-restart scan the interpreter used to do).
+/// executor needs (whether any instruction requires AVX2).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct LoweredBlock {
     /// One op per static instruction, in block order (`static_idx` of the
@@ -508,8 +505,8 @@ pub(crate) struct LoweredBlock {
 /// Executes one predecoded op, mutating `state` and `mem`, recording its
 /// effects into the caller-provided (default-initialized) `fx` — usually
 /// the trace slot itself, so effects are written once instead of bounced
-/// through return-value copies. The lowered counterpart of
-/// [`super::execute_inst`]: identical effects, faults, and fault ordering.
+/// through return-value copies. Faults are precise: a faulting op leaves
+/// `state` and `mem` as they were.
 ///
 /// Kept out of line so the unroll loop in `execute_unrolled_into` stays a
 /// few cache lines of code calling one dispatch function — inlining the

@@ -1,21 +1,122 @@
-//! Scalar kernels over the predecoded IR.
+//! Scalar kernels over the predecoded IR, with the flag arithmetic they
+//! share. Operand shapes, widths, and condition codes were resolved once
+//! at lower time.
 //!
-//! Each arm transliterates the corresponding [`super::scalar`] match arm,
-//! reusing the reference flag helpers so the semantics cannot drift; the
-//! only difference is that operand shapes, widths, and condition codes
-//! were resolved once at lower time instead of per dynamic instruction.
+//! The host CPU referees these semantics: `sim/tests/native_oracle.rs`
+//! runs each block natively and compares the GPRs, the flags (masking
+//! those the SDM leaves undefined after `mul`/`imul`, `div`, multi-bit
+//! shifts and rotates, and `lzcnt`/`tzcnt`), memory and the fault class.
 
 use super::ops::{ArithSel, BitCountSel, ExecOp, LogicSel, SOp, ShiftSel};
-use super::scalar::{
-    add_with_flags, logic_flags, sext, size_of, sub_with_flags, width_mask, write_mul_result,
-};
 use super::{ExecFault, InstEffects, MemAccess};
 use crate::mem::Memory;
-use crate::state::CpuState;
-use bhive_asm::{Gpr, OpSize};
+use crate::state::{CpuState, Flags};
+use bhive_asm::{Gpr, Inst, OpSize};
 
-/// Reads a pre-resolved scalar operand. Mirrors
-/// [`super::read_scalar_operand`] exactly (memory loads use the operand's
+/// Sign-extends `value` from `width` bytes to 64 bits.
+fn sext(value: u64, width: u8) -> i64 {
+    let shift = 64 - u32::from(width) * 8;
+    ((value << shift) as i64) >> shift
+}
+
+/// True if the low byte of `value` has even parity (x86 PF).
+fn parity(value: u64) -> bool {
+    (value as u8).count_ones().is_multiple_of(2)
+}
+
+fn logic_flags(result: u64, width: u8) -> Flags {
+    let masked = result & width_mask(width);
+    Flags {
+        cf: false,
+        of: false,
+        zf: masked == 0,
+        sf: masked >> (width * 8 - 1) & 1 == 1,
+        pf: parity(masked),
+    }
+}
+
+fn width_mask(width: u8) -> u64 {
+    match width {
+        1 => 0xFF,
+        2 => 0xFFFF,
+        4 => 0xFFFF_FFFF,
+        _ => u64::MAX,
+    }
+}
+
+/// Computes `a + b + carry_in` with full flag generation. The sum is
+/// formed in 128-bit arithmetic so carry-out is exact even at the
+/// wrap-around corner (`b == mask` with carry-in, where the 64-bit sum
+/// lands back on `a`).
+fn add_with_flags(a: u64, b: u64, carry_in: bool, width: u8) -> (u64, Flags) {
+    let mask = width_mask(width);
+    let (a, b) = (a & mask, b & mask);
+    let wide = u128::from(a) + u128::from(b) + u128::from(carry_in);
+    let result = (wide as u64) & mask;
+    let sign_bit = 1u64 << (width * 8 - 1);
+    let cf = wide > u128::from(mask);
+    let of = ((a ^ result) & (b ^ result) & sign_bit) != 0;
+    (
+        result,
+        Flags {
+            cf,
+            of,
+            zf: result == 0,
+            sf: result & sign_bit != 0,
+            pf: parity(result),
+        },
+    )
+}
+
+/// Computes `a - b - borrow_in` with full flag generation (exact borrow
+/// via 128-bit arithmetic).
+fn sub_with_flags(a: u64, b: u64, borrow_in: bool, width: u8) -> (u64, Flags) {
+    let mask = width_mask(width);
+    let (a, b) = (a & mask, b & mask);
+    let rhs = u128::from(b) + u128::from(borrow_in);
+    let result = (u128::from(a).wrapping_sub(rhs) as u64) & mask;
+    let sign_bit = 1u64 << (width * 8 - 1);
+    let cf = u128::from(a) < rhs;
+    let of = ((a ^ b) & (a ^ result) & sign_bit) != 0;
+    (
+        result,
+        Flags {
+            cf,
+            of,
+            zf: result == 0,
+            sf: result & sign_bit != 0,
+            pf: parity(result),
+        },
+    )
+}
+
+/// Which flags an instruction writes (used for dependency tracking in the
+/// timing model). Delegates to the shared semantics on [`Inst`].
+pub(crate) fn flags_written(inst: &Inst) -> bool {
+    inst.writes_flags()
+}
+
+/// Whether the instruction reads flags.
+pub(crate) fn flags_read(inst: &Inst) -> bool {
+    inst.reads_flags()
+}
+
+fn size_of(width: u8) -> OpSize {
+    OpSize::from_bytes(width).unwrap_or(OpSize::Q)
+}
+
+fn write_mul_result(product: u128, width: u8, state: &mut CpuState) {
+    if width == 1 {
+        // Byte multiply: AX = AL * src; RDX is untouched.
+        state.set_gpr(Gpr::Rax, OpSize::W, product as u64 & 0xFFFF);
+        return;
+    }
+    let size = size_of(width);
+    state.set_gpr(Gpr::Rax, size, product as u64);
+    state.set_gpr(Gpr::Rdx, size, (product >> (width * 8)) as u64);
+}
+
+/// Reads a pre-resolved scalar operand (memory loads use the operand's
 /// own width and record the access in `fx`).
 #[inline]
 pub(super) fn read_sop(
@@ -41,8 +142,8 @@ pub(super) fn read_sop(
     }
 }
 
-/// Writes a pre-resolved scalar destination. Mirrors
-/// [`super::write_scalar_operand`].
+/// Writes a pre-resolved scalar destination (memory stores record the
+/// access in `fx`).
 #[inline]
 pub(super) fn write_sop(
     op: SOp,
@@ -226,14 +327,38 @@ pub(super) fn execute(
                     }
                 }
             };
-            if count != 0 && matches!(sel, ShiftSel::Shl | ShiftSel::Shr | ShiftSel::Sar) {
-                let cf = match sel {
-                    ShiftSel::Shl => count <= bits && (a >> (bits - count)) & 1 == 1,
-                    _ => count <= bits && (a >> (count - 1)) & 1 == 1,
-                };
-                let mut flags = logic_flags(result, width);
-                flags.cf = cf;
-                state.flags = flags;
+            // A masked count of zero leaves the flags alone. Otherwise
+            // shifts write all five and rotates only CF and OF; OF is
+            // defined for a count of one and kept to the same formula
+            // beyond it.
+            let msb = |v: u64| (v >> (bits - 1)) & 1 == 1;
+            if count != 0 {
+                match sel {
+                    ShiftSel::Shl | ShiftSel::Shr | ShiftSel::Sar => {
+                        let cf = match sel {
+                            ShiftSel::Shl => count <= bits && (a >> (bits - count)) & 1 == 1,
+                            ShiftSel::Shr => count <= bits && (a >> (count - 1)) & 1 == 1,
+                            // Past the width, SAR keeps shifting out sign bits.
+                            _ => (a >> (count.min(bits) - 1)) & 1 == 1,
+                        };
+                        let mut flags = logic_flags(result, width);
+                        flags.cf = cf;
+                        flags.of = match sel {
+                            ShiftSel::Shl => msb(result) != cf,
+                            ShiftSel::Shr => msb(a),
+                            _ => false,
+                        };
+                        state.flags = flags;
+                    }
+                    ShiftSel::Rol => {
+                        state.flags.cf = result & 1 == 1;
+                        state.flags.of = msb(result) != state.flags.cf;
+                    }
+                    ShiftSel::Ror => {
+                        state.flags.cf = msb(result);
+                        state.flags.of = msb(result) != msb(result << 1);
+                    }
+                }
             }
             write_sop(dst, result, state, mem, fx)?;
         }
@@ -279,8 +404,14 @@ pub(super) fn execute(
                 return Err(ExecFault::DivideError);
             }
             let size = size_of(width);
-            let lo = state.gpr(Gpr::Rax, size);
-            let hi = state.gpr(Gpr::Rdx, size);
+            // The dividend is RDX:RAX at the operand width, or AH:AL for
+            // a byte divide.
+            let (lo, hi) = if width == 1 {
+                let ax = state.gpr(Gpr::Rax, OpSize::W);
+                (ax & 0xFF, ax >> 8)
+            } else {
+                (state.gpr(Gpr::Rax, size), state.gpr(Gpr::Rdx, size))
+            };
             fx.div_rdx_zero = hi == 0;
             let (quotient, remainder) = if !signed {
                 let dividend = (u128::from(hi) << (width * 8)) | u128::from(lo);
@@ -301,8 +432,13 @@ pub(super) fn execute(
                 (q as u64, (dividend % divisor) as u64)
             };
             fx.div_quotient_bits = Some(64 - quotient.leading_zeros());
-            state.set_gpr(Gpr::Rax, size, quotient);
-            state.set_gpr(Gpr::Rdx, size, remainder);
+            if width == 1 {
+                let ax = (remainder & 0xFF) << 8 | quotient & 0xFF;
+                state.set_gpr(Gpr::Rax, OpSize::W, ax);
+            } else {
+                state.set_gpr(Gpr::Rax, size, quotient);
+                state.set_gpr(Gpr::Rdx, size, remainder);
+            }
         }
         ExecOp::Cdq => {
             let sign = if state.gpr(Gpr::Rax, OpSize::D) >> 31 & 1 == 1 {
@@ -333,8 +469,12 @@ pub(super) fn execute(
                 BitCountSel::Lzcnt => u64::from(src.leading_zeros().saturating_sub(64 - bits)),
                 BitCountSel::Tzcnt => u64::from(src.trailing_zeros().min(bits)),
             };
+            if sel == BitCountSel::Popcnt {
+                // POPCNT clears every flag but ZF.
+                state.flags = Flags::default();
+            }
             state.flags.zf = result == 0;
-            // POPCNT clears CF; LZCNT/TZCNT set CF when the source is 0.
+            // LZCNT/TZCNT set CF when the source is 0.
             state.flags.cf = sel != BitCountSel::Popcnt && src == 0;
             write_sop(dst, result, state, mem, fx)?;
         }
@@ -348,6 +488,10 @@ pub(super) fn execute(
             let src = read_sop(src, state, mem, fx)?;
             if cond.eval(f.cf, f.zf, f.sf, f.of, f.pf) {
                 write_sop(dst, src, state, mem, fx)?;
+            } else if let SOp::Gpr(reg, OpSize::D) = dst {
+                // A 32-bit cmov zero-extends its destination even when
+                // the condition fails.
+                state.set_gpr(reg, OpSize::D, state.gpr(reg, OpSize::D));
             }
         }
         _ => return Ok(false),

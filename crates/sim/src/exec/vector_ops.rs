@@ -1,20 +1,114 @@
-//! SSE/AVX kernels over the predecoded IR.
+//! SSE/AVX kernels over the predecoded IR, with their DAZ/FTZ and lane
+//! helpers. Operand shapes, lane widths, VEX-ness, and shuffle/shift
+//! immediates were resolved once at lower time.
 //!
-//! Each arm transliterates the corresponding [`super::vector`] match arm,
-//! reusing the reference DAZ/FTZ and lane helpers; operand shapes, lane
-//! widths, VEX-ness, and shuffle/shift immediates were resolved once at
-//! lower time.
+//! The host CPU referees these semantics: `sim/tests/native_oracle.rs`
+//! runs each block natively, FTZ/DAZ on and off, and compares all 16 YMM
+//! registers at 32 bytes, memory and the fault class.
 
-use super::ops::{BitwiseSel, ExecOp, PackedCmpSel, PackedMulSel, PackedSel, PackedShiftSel, VOp};
-use super::scalar_ops::{read_sop, write_sop};
-use super::vector::{
-    daz32, daz64, ftz32, ftz64, get_f32, get_f64, get_u16, get_u32, get_u64, set_f32, set_f64,
-    set_u16, set_u32, set_u64, VBytes,
+use super::ops::{
+    BitwiseSel, ExecOp, PackedCmpSel, PackedMulSel, PackedSel, PackedShiftSel, SOp, VOp,
 };
+use super::scalar_ops::{read_sop, write_sop};
 use super::{ExecFault, InstEffects, MemAccess};
 use crate::mem::Memory;
-use crate::state::CpuState;
+use crate::state::{CpuState, Mxcsr};
 use bhive_asm::VecWidth;
+
+/// A 32-byte operand value (vector register or memory contents, padded).
+type VBytes = [u8; 32];
+
+fn is_sub_f32(x: f32) -> bool {
+    x != 0.0 && x.is_finite() && x.abs() < f32::MIN_POSITIVE
+}
+
+fn is_sub_f64(x: f64) -> bool {
+    x != 0.0 && x.is_finite() && x.abs() < f64::MIN_POSITIVE
+}
+
+/// Applies DAZ to an input lane; records a subnormal event when gradual
+/// underflow is still enabled.
+fn daz32(x: f32, mxcsr: Mxcsr, subnormal: &mut bool) -> f32 {
+    if is_sub_f32(x) {
+        if mxcsr.daz {
+            return if x.is_sign_negative() { -0.0 } else { 0.0 };
+        }
+        *subnormal = true;
+    }
+    x
+}
+
+fn daz64(x: f64, mxcsr: Mxcsr, subnormal: &mut bool) -> f64 {
+    if is_sub_f64(x) {
+        if mxcsr.daz {
+            return if x.is_sign_negative() { -0.0 } else { 0.0 };
+        }
+        *subnormal = true;
+    }
+    x
+}
+
+/// Applies FTZ to a result lane; records a subnormal event when gradual
+/// underflow produced a subnormal result.
+fn ftz32(x: f32, mxcsr: Mxcsr, subnormal: &mut bool) -> f32 {
+    if is_sub_f32(x) {
+        if mxcsr.ftz {
+            return if x.is_sign_negative() { -0.0 } else { 0.0 };
+        }
+        *subnormal = true;
+    }
+    x
+}
+
+fn ftz64(x: f64, mxcsr: Mxcsr, subnormal: &mut bool) -> f64 {
+    if is_sub_f64(x) {
+        if mxcsr.ftz {
+            return if x.is_sign_negative() { -0.0 } else { 0.0 };
+        }
+        *subnormal = true;
+    }
+    x
+}
+
+fn get_f32(bytes: &VBytes, lane: usize) -> f32 {
+    f32::from_le_bytes(bytes[lane * 4..lane * 4 + 4].try_into().expect("lane"))
+}
+
+fn set_f32(bytes: &mut VBytes, lane: usize, v: f32) {
+    bytes[lane * 4..lane * 4 + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+fn get_f64(bytes: &VBytes, lane: usize) -> f64 {
+    f64::from_le_bytes(bytes[lane * 8..lane * 8 + 8].try_into().expect("lane"))
+}
+
+fn set_f64(bytes: &mut VBytes, lane: usize, v: f64) {
+    bytes[lane * 8..lane * 8 + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn get_u32(bytes: &VBytes, lane: usize) -> u32 {
+    u32::from_le_bytes(bytes[lane * 4..lane * 4 + 4].try_into().expect("lane"))
+}
+
+fn set_u32(bytes: &mut VBytes, lane: usize, v: u32) {
+    bytes[lane * 4..lane * 4 + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+fn get_u64(bytes: &VBytes, lane: usize) -> u64 {
+    u64::from_le_bytes(bytes[lane * 8..lane * 8 + 8].try_into().expect("lane"))
+}
+
+fn set_u64(bytes: &mut VBytes, lane: usize, v: u64) {
+    bytes[lane * 8..lane * 8 + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn get_u16(bytes: &VBytes, lane: usize) -> u16 {
+    u16::from_le_bytes(bytes[lane * 2..lane * 2 + 2].try_into().expect("lane"))
+}
+
+fn set_u16(bytes: &mut VBytes, lane: usize, v: u16) {
+    bytes[lane * 2..lane * 2 + 2].copy_from_slice(&v.to_le_bytes());
+}
 
 struct VCtx<'a> {
     state: &'a mut CpuState,
@@ -23,10 +117,11 @@ struct VCtx<'a> {
 }
 
 impl VCtx<'_> {
-    /// Reads a pre-resolved vector operand into a padded 32-byte buffer.
-    /// Mirrors the reference `Ctx::read`: vector registers contribute
-    /// their own width, memory reads use the *argument* width (and record
-    /// it in `fx`), GPRs fill the low 8 bytes.
+    /// Reads a pre-resolved vector operand into a padded 32-byte buffer:
+    /// vector registers contribute their own width, memory reads use the
+    /// *argument* width (and record it in `fx`), GPRs fill the low 8
+    /// bytes. An `aligned` memory read of a misaligned address raises
+    /// #GP: `movaps`/`movdqa`, and every legacy-SSE packed operand.
     #[inline(always)]
     fn read(&mut self, op: VOp, width: u8, aligned: bool) -> Result<VBytes, ExecFault> {
         let mut out = [0u8; 32];
@@ -57,7 +152,6 @@ impl VCtx<'_> {
     }
 
     /// Writes a result to a vector register or memory destination.
-    /// Mirrors the reference `Ctx::write`.
     #[inline(always)]
     fn write(
         &mut self,
@@ -134,11 +228,12 @@ pub(super) fn execute(
             out[..lane as usize].copy_from_slice(&src_bytes[..lane as usize]);
             ctx.write(VOp::Vec(dst), &out, lane, vex, false)?;
         }
-        ExecOp::MovssLoad { dst, ea, lane } => {
-            // Load: zero the rest of the register.
+        ExecOp::MovssLoad { dst, ea, lane, vex } => {
+            // Load: zero the rest of the xmm register (and, VEX-encoded,
+            // the upper ymm half).
             let out = ctx.read(VOp::Mem(ea), lane, false)?;
             ctx.state
-                .set_vec(dst.with_width(VecWidth::Xmm), &out[..16], true);
+                .set_vec(dst.with_width(VecWidth::Xmm), &out[..16], vex);
         }
         ExecOp::MovssStore { ea, src, lane, vex } => {
             let out = ctx.read(VOp::Vec(src), lane, false)?;
@@ -154,11 +249,16 @@ pub(super) fn execute(
             let v = ctx.read(src, width, aligned)?;
             ctx.write(dst, &v, width, vex, aligned)?;
         }
-        ExecOp::MovdToVec { dst, src, lane } => {
+        ExecOp::MovdToVec {
+            dst,
+            src,
+            lane,
+            vex,
+        } => {
             let src = ctx.read(src, lane, false)?;
             let mut out = [0u8; 32];
             out[..lane as usize].copy_from_slice(&src[..lane as usize]);
-            ctx.write(dst, &out, lane, true, false)?;
+            ctx.write(dst, &out, lane, vex, false)?;
         }
         ExecOp::MovdFromVec { dst, src, lane } => {
             let value = match lane {
@@ -251,12 +351,24 @@ pub(super) fn execute(
         ExecOp::CvtFp2Si { wide, dst, src } => {
             let lane = if wide { 8 } else { 4 };
             let src = ctx.read(src, lane, false)?;
-            let value = if wide {
-                get_f64(&src, 0) as i64
+            let x = if wide {
+                get_f64(&src, 0)
             } else {
-                get_f32(&src, 0) as i64
+                f64::from(get_f32(&src, 0))
             };
-            write_sop(dst, value as u64, ctx.state, ctx.mem, ctx.fx)?;
+            // NaN, or a truncation outside the destination's range, gives
+            // the integer indefinite: the sign bit alone.
+            let bits = match dst {
+                SOp::Gpr(_, size) => size.bits(),
+                _ => 64,
+            };
+            let limit = 2f64.powi(bits as i32 - 1);
+            let value = if (-limit..limit).contains(&x.trunc()) {
+                x as i64 as u64
+            } else {
+                1 << (bits - 1)
+            };
+            write_sop(dst, value, ctx.state, ctx.mem, ctx.fx)?;
         }
         ExecOp::Cvtdq2ps {
             dst,
@@ -264,7 +376,7 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let src = ctx.read(src, width, false)?;
+            let src = ctx.read(src, width, !vex)?;
             let mut out = [0u8; 32];
             unrolled!((width / 4) as usize, lane, {
                 set_f32(&mut out, lane, get_u32(&src, lane) as i32 as f32);
@@ -280,8 +392,8 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(a, width, false)?;
-            let b = ctx.read(b, width, false)?;
+            let a = ctx.read(a, width, !vex)?;
+            let b = ctx.read(b, width, !vex)?;
             let mut out = [0u8; 32];
             let mut sub = false;
             unrolled!((width / 4) as usize, lane, {
@@ -321,8 +433,8 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(a, width, false)?;
-            let b = ctx.read(b, width, false)?;
+            let a = ctx.read(a, width, !vex)?;
+            let b = ctx.read(b, width, !vex)?;
             let mut out = [0u8; 32];
             let mut sub = false;
             unrolled!((width / 8) as usize, lane, {
@@ -380,8 +492,8 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(a, width, false)?;
-            let b = ctx.read(b, width, false)?;
+            let a = ctx.read(a, width, !vex)?;
+            let b = ctx.read(b, width, !vex)?;
             let mut out = [0u8; 32];
             for i in 0..32 {
                 out[i] = match sel {
@@ -403,8 +515,8 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(a, width, false)?;
-            let b = ctx.read(b, width, false)?;
+            let a = ctx.read(a, width, !vex)?;
+            let b = ctx.read(b, width, !vex)?;
             let mut out = [0u8; 32];
             let lane_bytes = lane_bytes as usize;
             unrolled!(width as usize / lane_bytes, lane, {
@@ -464,8 +576,8 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(a, width, false)?;
-            let b = ctx.read(b, width, false)?;
+            let a = ctx.read(a, width, !vex)?;
+            let b = ctx.read(b, width, !vex)?;
             let mut out = [0u8; 32];
             match sel {
                 PackedMulSel::Mullw => {
@@ -508,7 +620,7 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(src, width, false)?;
+            let a = ctx.read(src, width, !vex)?;
             let mut out = [0u8; 32];
             match sel {
                 PackedShiftSel::Slld | PackedShiftSel::Srld | PackedShiftSel::Srad => {
@@ -555,8 +667,8 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(a, width, false)?;
-            let b = ctx.read(b, width, false)?;
+            let a = ctx.read(a, width, !vex)?;
+            let b = ctx.read(b, width, !vex)?;
             let mut out = [0u8; 32];
             match sel {
                 PackedCmpSel::Eqb => {
@@ -588,8 +700,8 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(a, width, false)?;
-            let b = ctx.read(b, width, false)?;
+            let a = ctx.read(a, width, !vex)?;
+            let b = ctx.read(b, width, !vex)?;
             let mut out = [0u8; 32];
             for half in 0..(width / 16) as usize {
                 let base = half * 4;
@@ -607,7 +719,7 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let src = ctx.read(src, width, false)?;
+            let src = ctx.read(src, width, !vex)?;
             let mut out = [0u8; 32];
             for half in 0..(width / 16) as usize {
                 let base = half * 4;
@@ -625,8 +737,8 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(a, width, false)?;
-            let b = ctx.read(b, width, false)?;
+            let a = ctx.read(a, width, !vex)?;
+            let b = ctx.read(b, width, !vex)?;
             let mut out = [0u8; 32];
             for half in 0..(width / 16) as usize {
                 let base = half * 16;
@@ -648,8 +760,8 @@ pub(super) fn execute(
             width,
             vex,
         } => {
-            let a = ctx.read(a, width, false)?;
-            let b = ctx.read(b, width, false)?;
+            let a = ctx.read(a, width, !vex)?;
+            let b = ctx.read(b, width, !vex)?;
             let mut out = [0u8; 32];
             for half in 0..(width / 16) as usize {
                 let base = half * 4;

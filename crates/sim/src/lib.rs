@@ -49,7 +49,7 @@ mod timing;
 
 pub use cache::Cache;
 pub use counters::PerfCounters;
-pub use exec::{effective_addr, execute_inst, ExecFault, InstEffects, MemAccess};
+pub use exec::{ExecFault, InstEffects, MemAccess};
 pub use machine::{LowerStats, Machine, RunError, RunOutcome, CODE_BASE};
 pub use mem::{Memory, PhysPage, SegFault, PAGE_SIZE};
 pub use noise::NoiseConfig;

@@ -4,7 +4,7 @@ use crate::cache::Cache;
 use crate::counters::PerfCounters;
 use crate::exec::lower::lower_block;
 use crate::exec::ops::{execute_op, LoweredBlock};
-use crate::exec::{execute_inst, ExecFault};
+use crate::exec::ExecFault;
 use crate::mem::Memory;
 use crate::noise::NoiseConfig;
 use crate::state::CpuState;
@@ -308,8 +308,7 @@ impl Machine {
         // then let each kernel call record its effects straight into its
         // slot: no per-instruction 80-byte push temporaries and no
         // `InstEffects` bounced through return values. On a fault the
-        // trace is truncated to the completed prefix, matching the
-        // reference loop's push-after-execute order; a later resume's
+        // trace is truncated to the completed prefix; a later resume's
         // resize re-zeroes the faulting slot.
         let n_ops = lowered.ops.len();
         let total = n_ops * unroll as usize;
@@ -334,49 +333,6 @@ impl Machine {
             if static_idx == n_ops {
                 static_idx = 0;
                 copy += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// The pre-lowering interpreter loop, retained verbatim: re-matches
-    /// `Mnemonic`/`Operand` enums per dynamic instruction via
-    /// [`execute_inst`]. It is the semantic reference the lowered path in
-    /// [`Machine::execute_unrolled_into`] is differentially tested
-    /// against (`sim/tests/exec_differential.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ExecFault`]; `trace` holds the instructions
-    /// executed before it.
-    pub fn execute_unrolled_reference_into(
-        &mut self,
-        insts: &[Inst],
-        unroll: u32,
-        trace: &mut Vec<DynInst>,
-    ) -> Result<(), ExecFault> {
-        trace.clear();
-        if !self.uarch.supports_avx2 {
-            let avx2 = insts.iter().any(|inst| {
-                inst.mnemonic().is_vex_only()
-                    || inst.operands().iter().any(|op| {
-                        matches!(op, bhive_asm::Operand::Vec(v)
-                            if v.width() == bhive_asm::VecWidth::Ymm)
-                    })
-            });
-            if avx2 {
-                return Err(ExecFault::InvalidOpcode);
-            }
-        }
-        trace.reserve(insts.len() * unroll as usize);
-        for copy in 0..unroll {
-            for (static_idx, inst) in insts.iter().enumerate() {
-                let effects = execute_inst(inst, &mut self.state, &mut self.mem)?;
-                trace.push(DynInst {
-                    static_idx,
-                    copy,
-                    effects,
-                });
             }
         }
         Ok(())

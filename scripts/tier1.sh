@@ -5,18 +5,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-# The root manifest's default-members cover the root package and every
-# crate under crates/, so this runs every member's unit, integration
-# and doc tests (the vendored dependency subsets are left out).
+# The root manifest's default-members cover the root package, every
+# crate under crates/ and the vendored JSON parser (every cache line,
+# trace event and serve request goes through it), so this runs their
+# unit, integration and doc tests.
 cargo test -q
-# The vendored dependency subsets' own tests, which the line above
-# leaves out: the JSON parser and printer every cache line, trace event
-# and serve request goes through, and the test harness itself.
-cargo test -q -p serde_json -p serde -p serde_derive -p rand -p proptest
+# The other vendored dependency subsets' own tests, which the line above
+# leaves out: the serde traits and derive, the RNG, and the test
+# harness itself.
+cargo test -q -p serde -p serde_derive -p rand -p proptest
 # The simulator differentials again against release codegen, where the
 # cycle loop's debug_assert! bound checks are compiled out and the
 # unchecked indexing that ships is what runs.
 cargo test -q --release -p bhive-sim --test differential
+# The host CPU refereeing the functional executor that ships, in
+# release codegen.
+cargo test -q --release -p bhive-sim --test native_oracle
 # The pinned measurement hash and the resuming-versus-restarting monitor
 # differential, also against release codegen.
 cargo test -q --release -p bhive-harness --test pinned

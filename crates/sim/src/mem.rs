@@ -12,18 +12,15 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Page size (4 KiB), matching x86-64.
 pub const PAGE_SIZE: u64 = 4096;
 
-/// Multiplicative hasher for the simulator's hot tables: the page
-/// table's `u64` page-number keys and the timing model's per-thread
-/// static-instruction memo (`crate::timing`).
+/// Multiplicative hasher for the page table's `u64` page-number keys.
 ///
 /// Address translation runs once or twice per simulated memory access, so
 /// the default SipHash costs more than the table probe itself; a single
 /// multiply-xor round spreads page numbers well enough. Nothing observable
-/// iterates either table (page-id dumps are sorted), so the order change
-/// is invisible. Neither table trusts its hash: the memo compares every
-/// hit structurally and is bounded in size.
+/// iterates the table (page-id dumps are sorted), so the order change is
+/// invisible.
 #[derive(Default)]
-pub(crate) struct FastHasher(u64);
+struct FastHasher(u64);
 
 impl Hasher for FastHasher {
     #[inline]
@@ -43,28 +40,6 @@ impl Hasher for FastHasher {
     fn write_u64(&mut self, n: u64) {
         let h = (n ^ self.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 = h ^ (h >> 32);
-    }
-
-    // A derived `Hash` (the memo's instructions) writes small integers:
-    // one round each, not one per byte.
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
     }
 }
 

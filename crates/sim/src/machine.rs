@@ -16,9 +16,7 @@ use bhive_asm::{BasicBlock, Inst};
 use bhive_uarch::Uarch;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// Default virtual address the harness places code at.
 pub const CODE_BASE: u64 = 0x40_0000;
@@ -41,9 +39,8 @@ struct TimingArena {
 }
 
 /// One-entry cache of the most recent block's predecoded lowering and the
-/// static half of its timing prep, keyed by content hash and pinned by a
-/// structural instruction comparison (a hash collision can therefore slow
-/// a lookup down but never corrupt one). Lives in the arena so it
+/// static half of its timing prep, keyed by the block's instructions
+/// (compared structurally on every lookup). Lives in the arena so it
 /// survives [`Machine::recycle`]: the harness profiles one block per
 /// recycle, so every monitor resume after a fault, both unroll factors,
 /// and each retry escalation of the same block reuse one lowering instead of
@@ -51,7 +48,6 @@ struct TimingArena {
 #[derive(Debug, Default)]
 struct LowerCache {
     valid: bool,
-    hash: u64,
     insts: Vec<Inst>,
     lowered: LoweredBlock,
     /// Present when no [`TimingModel`] currently borrows it; taken and
@@ -70,12 +66,6 @@ pub struct LowerStats {
     pub hits: u64,
     /// Lookups that had to lower the block.
     pub misses: u64,
-}
-
-fn block_hash(insts: &[Inst]) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    insts.hash(&mut hasher);
-    hasher.finish()
 }
 
 /// Outcome of a full (functionally executed + timed) run.
@@ -340,9 +330,7 @@ impl Machine {
 
     /// Makes the lowering cache current for `insts`: a structural
     /// equality check on hit (which fails fast on the first differing
-    /// instruction, so it is cheaper than hashing the probe block — the
-    /// stored content hash identifies the entry but is only computed on
-    /// fill), a fresh [`lower_block`] pass on miss (which also
+    /// instruction), a fresh [`lower_block`] pass on miss (which also
     /// invalidates any cached static timing prep).
     fn ensure_lowered(&mut self, insts: &[Inst]) {
         let cache = &mut self.timing.lower;
@@ -352,7 +340,6 @@ impl Machine {
         }
         cache.misses += 1;
         cache.valid = true;
-        cache.hash = block_hash(insts);
         cache.insts.clear();
         cache.insts.extend_from_slice(insts);
         cache.lowered = lower_block(insts);

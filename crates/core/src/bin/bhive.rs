@@ -1042,14 +1042,15 @@ fn run_sharded_supervisor(pipeline: &Pipeline, opts: &Options, workers: u32) -> 
             }
         }
     }
-    let mut merged: Option<ShardStats> = None;
+    let mut merged: Option<ProfileStats> = None;
     for &spec in &specs {
         let report = certified(spec)?.ok_or_else(|| {
             format!("shard {spec} did not complete after {MAX_ROUNDS} rounds; rerun to resume")
         })?;
+        let stats = stats_for_display(&report.stats);
         match &mut merged {
-            Some(stats) => stats.merge(&report.stats),
-            None => merged = Some(report.stats),
+            Some(merged) => merged.merge(&stats),
+            None => merged = Some(stats),
         }
     }
     let merge = merge_shard_caches(&dir, opts.uarch, &config, workers)
@@ -1063,7 +1064,7 @@ fn run_sharded_supervisor(pipeline: &Pipeline, opts: &Options, workers: u32) -> 
             "sharded {}/{} across {workers} worker(s): {}",
             opts.corpus,
             opts.uarch.short_name(),
-            stats_for_display(&stats)
+            stats
         );
     }
     Ok(())

@@ -59,36 +59,24 @@ impl MeasuredCorpus {
         config: &ProfileConfig,
         threads: usize,
     ) -> (MeasuredCorpus, ProfileStats) {
-        MeasuredCorpus::measure_with_stats_cached(corpus, uarch, config, threads, None)
-    }
-
-    /// Like [`MeasuredCorpus::measure_with_stats`], with an optional
-    /// on-disk measurement cache rooted at `cache_dir`: warm blocks are
-    /// served from disk (bit-identical to measuring them), cold blocks
-    /// are measured and persisted as the run progresses, so an
-    /// interrupted run resumes where it stopped.
-    ///
-    /// A cache directory that cannot be opened disables caching for the
-    /// run (with a warning on stderr) rather than failing it.
-    pub fn measure_with_stats_cached(
-        corpus: &Corpus,
-        uarch: UarchKind,
-        config: &ProfileConfig,
-        threads: usize,
-        cache_dir: Option<&Path>,
-    ) -> (MeasuredCorpus, ProfileStats) {
         MeasuredCorpus::measure_with_stats_supervised(
             corpus,
             uarch,
             config,
             threads,
-            cache_dir,
+            None,
             &Supervision::default(),
         )
     }
 
-    /// Like [`MeasuredCorpus::measure_with_stats_cached`], with explicit
-    /// [`Supervision`] — breaker tuning and observability. With
+    /// Like [`MeasuredCorpus::measure_with_stats`], with an optional
+    /// on-disk measurement cache rooted at `cache_dir` and explicit
+    /// [`Supervision`] — breaker tuning and observability. Warm blocks are
+    /// served from disk (bit-identical to measuring them), cold blocks
+    /// are measured and persisted as the run progresses, so an
+    /// interrupted run resumes where it stopped; a cache directory that
+    /// cannot be opened disables caching for the run (with a warning on
+    /// stderr) rather than failing it. With
     /// [`Supervision::obs`] enabled the returned stats carry the merged
     /// deterministic run record ([`ProfileStats::obs`]); the measured
     /// blocks themselves are bit-identical to an unobserved run.
@@ -348,22 +336,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let corpus = Corpus::generate(Scale::PerApp(5), 9);
         let config = ProfileConfig::bhive().quiet();
-        let (cold, cold_stats) = MeasuredCorpus::measure_with_stats_cached(
+        let (cold, cold_stats) = MeasuredCorpus::measure_with_stats_supervised(
             &corpus,
             UarchKind::Haswell,
             &config,
             2,
             Some(&dir),
+            &Supervision::default(),
         );
         let cold_cache = cold_stats.cache.expect("cache active");
         assert_eq!(cold_cache.hits, 0);
         assert!(cold_cache.misses > 0);
-        let (warm, warm_stats) = MeasuredCorpus::measure_with_stats_cached(
+        let (warm, warm_stats) = MeasuredCorpus::measure_with_stats_supervised(
             &corpus,
             UarchKind::Haswell,
             &config,
             2,
             Some(&dir),
+            &Supervision::default(),
         );
         let warm_cache = warm_stats.cache.expect("cache active");
         assert_eq!(warm_cache.misses, 0, "everything served from disk");

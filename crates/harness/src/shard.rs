@@ -496,9 +496,9 @@ pub struct ShardWorkerStats {
 /// Serializable projection of the mergeable [`ProfileStats`] counters a
 /// worker process reports back to the supervisor. Event streams and
 /// metrics registries stay in the worker's own trace log; the report
-/// carries only fields that merge associatively (see
-/// [`ProfileStats::merge`] for the rules, which [`ShardStats::merge`]
-/// mirrors).
+/// carries only fields that merge associatively: the supervisor turns
+/// each report back into [`ProfileStats`] with [`stats_for_display`] and
+/// folds them with [`ProfileStats::merge`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardStats {
     /// See [`ProfileStats::total_blocks`].
@@ -562,51 +562,6 @@ impl From<&ProfileStats> for ShardStats {
                 })
                 .collect(),
             cache: stats.cache,
-        }
-    }
-}
-
-impl ShardStats {
-    /// Folds another shard's counters in, with the same algebra as
-    /// [`ProfileStats::merge`]: counts add, `elapsed` maxes (shards run
-    /// concurrently), the breaker keeps the smallest evidence, worker
-    /// rows concatenate and re-sort canonically.
-    pub fn merge(&mut self, other: &ShardStats) {
-        self.total_blocks += other.total_blocks;
-        self.unique_blocks += other.unique_blocks;
-        self.successful_blocks += other.successful_blocks;
-        self.cache_hits += other.cache_hits;
-        self.threads += other.threads;
-        self.elapsed_ns = self.elapsed_ns.max(other.elapsed_ns);
-        self.panics += other.panics;
-        self.retried_blocks += other.retried_blocks;
-        self.recovered_blocks += other.recovered_blocks;
-        self.retry_attempts += other.retry_attempts;
-        self.breaker = BreakerTrip::earliest(self.breaker, other.breaker);
-        for (category, n) in &other.failures {
-            *self.failures.entry(category.clone()).or_insert(0) += n;
-        }
-        self.workers.extend(other.workers.iter().copied());
-        self.workers
-            .sort_by_key(|w| (w.profiled, w.busy_ns, w.span_ns, w.panics, w.quarantined));
-        self.cache = match (self.cache, other.cache) {
-            (Some(mut a), Some(b)) => {
-                a.merge(&b);
-                Some(a)
-            }
-            (a, b) => a.or(b),
-        };
-    }
-
-    /// Throughput derived from the merged totals — never stored, for
-    /// the same reason [`CacheStats::hit_rate`] is derived: per-shard
-    /// ratios do not commute.
-    pub fn blocks_per_sec(&self) -> f64 {
-        let secs = Duration::from_nanos(self.elapsed_ns).as_secs_f64();
-        if secs > 0.0 {
-            self.total_blocks as f64 / secs
-        } else {
-            0.0
         }
     }
 }
@@ -703,7 +658,7 @@ impl ShardRunReport {
     }
 }
 
-/// Reconstructs a displayable [`ProfileStats`] from merged shard
+/// Reconstructs a displayable [`ProfileStats`] from one shard's
 /// counters, for the supervisor's cross-shard summary. Failure
 /// categories round-trip through the fixed category vocabulary
 /// ([`crate::ProfileFailure::category`]); an unrecognized category
@@ -726,7 +681,16 @@ pub fn stats_for_display(stats: &ShardStats) -> ProfileStats {
         cache_hits: stats.cache_hits,
         threads: stats.threads,
         elapsed: Duration::from_nanos(stats.elapsed_ns),
-        blocks_per_sec: stats.blocks_per_sec(),
+        // Derived from the totals, never stored: per-shard ratios do not
+        // commute.
+        blocks_per_sec: {
+            let secs = Duration::from_nanos(stats.elapsed_ns).as_secs_f64();
+            if secs > 0.0 {
+                stats.total_blocks as f64 / secs
+            } else {
+                0.0
+            }
+        },
         panics: stats.panics,
         retried_blocks: stats.retried_blocks,
         recovered_blocks: stats.recovered_blocks,

@@ -10,6 +10,7 @@
 //! vendored proptest) and split-invariance against a real
 //! single-process run.
 
+use bhive_harness::shard::stats_for_display;
 use bhive_harness::{
     cache_key, shard_of, BreakerTrip, CacheStats, ChaosStats, ProfileConfig, ProfileStats,
     Profiler, ShardStats, WorkerStats,
@@ -150,14 +151,17 @@ proptest! {
 
     /// Shard reports are merged in whatever order they are read: either
     /// order keeps the same breaker trip, and it is the trip the
-    /// in-process `ProfileStats` merge keeps.
+    /// in-process `ProfileStats` merge keeps. The supervisor reads each
+    /// report's `ShardStats` back through `stats_for_display` and folds
+    /// the results with `ProfileStats::merge`.
     #[test]
     fn shard_merge_picks_the_same_trip_in_either_order(sa in any::<u64>(), sb in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(sa.wrapping_mul(31).wrapping_add(sb));
         let (mut a, mut b) = (arb_stats(sa), arb_stats(sb));
         a.breaker = arb_trip(&mut rng);
         b.breaker = arb_trip(&mut rng);
-        let (shard_a, shard_b) = (ShardStats::from(&a), ShardStats::from(&b));
+        let shard_a = stats_for_display(&ShardStats::from(&a));
+        let shard_b = stats_for_display(&ShardStats::from(&b));
         let mut ab = shard_a.clone();
         ab.merge(&shard_b);
         let mut ba = shard_b.clone();

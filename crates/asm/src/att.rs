@@ -9,7 +9,7 @@ use crate::cond::Cond;
 use crate::error::AsmError;
 use crate::inst::{Inst, Mnemonic};
 use crate::operand::{MemRef, Operand, Scale};
-use crate::parse::{parse_int, strip_comment};
+use crate::parse::{check_stack_operand, parse_int, strip_comment};
 use crate::reg::{Gpr, OpSize, VecReg};
 use crate::BasicBlock;
 use std::fmt::Write as _;
@@ -236,6 +236,7 @@ fn parse_att_line(line: &str, lineno: usize) -> Result<Inst, AsmError> {
         }
     }
 
+    check_stack_operand(mnemonic, &operands, lineno)?;
     let vex = vex || crate::inst::infer_vex(mnemonic, &operands);
     Ok(Inst::new(mnemonic, cond, vex, operands))
 }
@@ -464,6 +465,16 @@ mod tests {
             parse_block("mov rax, qword ptr [rbx]\nadd rax, 8\nmov qword ptr [rbx], rax").unwrap();
         let att = block.to_att_string();
         assert_eq!(parse_block_att(&att).unwrap(), block);
+    }
+
+    #[test]
+    fn att_push_pop_take_only_a_64_bit_register() {
+        assert!(parse_inst_att("pushq %r15").is_ok());
+        assert!(parse_inst_att("popq %rbx").is_ok());
+        for text in ["popq 8(%rsp)", "pushq (%rbx)", "pushq $5", "pushl %eax"] {
+            let err = parse_inst_att(text).unwrap_err();
+            assert!(err.to_string().contains("64-bit register"), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -229,13 +229,10 @@ pub(super) fn execute(
                 width: 8,
                 write: false,
             });
-            // A memory destination addresses through the raised RSP (as
-            // on x86), but a faulting store must leave RSP untouched.
+            // Raise RSP before writing the register, so `pop rsp` keeps
+            // the popped value.
             state.set_gpr(Gpr::Rsp, OpSize::Q, rsp.wrapping_add(8));
-            if let Err(fault) = write_sop(dst, value, state, mem, fx) {
-                state.set_gpr(Gpr::Rsp, OpSize::Q, rsp);
-                return Err(fault);
-            }
+            write_sop(dst, value, state, mem, fx)?;
         }
         ExecOp::Arith {
             sel,

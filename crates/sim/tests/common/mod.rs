@@ -88,8 +88,8 @@ pub fn prefix_block(insts: &[Inst], n: usize) -> Vec<Inst> {
 }
 
 /// One memory-heavy instruction chosen by the bits of `pick`: stores and
-/// loads near page boundaries, pushes and pops (with `pop m` addressing
-/// through the raised RSP), read-modify-writes and vector accesses.
+/// loads near page boundaries, register pushes and pops, read-modify-writes
+/// and vector accesses.
 pub fn faulting_inst_text(pick: u64) -> String {
     let b = ["rbx", "rsi", "rsp", "rdi"][(pick >> 8) as usize % 4];
     let v = ["rax", "rcx", "rdx", "r9"][(pick >> 16) as usize % 4];
@@ -103,22 +103,20 @@ pub fn faulting_inst_text(pick: u64) -> String {
         " - 0x2000",
     ][(pick >> 24) as usize % 7];
     let m = format!("[{b}{d}]");
-    match pick % 16 {
+    match pick % 14 {
         0 => format!("mov {v}, qword ptr {m}"),
         1 => format!("mov qword ptr {m}, {v}"),
-        2 => format!("push qword ptr {m}"),
-        3 => format!("push {v}"),
-        4 => format!("pop {v}"),
-        5 => format!("pop qword ptr {m}"),
-        6 => format!("add qword ptr {m}, {v}"),
-        7 => format!("adc dword ptr {m}, 3"),
-        8 => format!("shr qword ptr {m}, 1"),
-        9 => format!("sub qword ptr {m}, {v}"),
-        10 => format!("movups xmmword ptr {m}, xmm1"),
-        11 => format!("addps xmm2, xmmword ptr {m}"),
-        12 => format!("vmovdqu ymm3, ymmword ptr {m}"),
-        13 => format!("cmovne {v}, qword ptr {m}"),
-        14 => format!("setb byte ptr {m}"),
+        2 => format!("push {v}"),
+        3 => format!("pop {v}"),
+        4 => format!("add qword ptr {m}, {v}"),
+        5 => format!("adc dword ptr {m}, 3"),
+        6 => format!("shr qword ptr {m}, 1"),
+        7 => format!("sub qword ptr {m}, {v}"),
+        8 => format!("movups xmmword ptr {m}, xmm1"),
+        9 => format!("addps xmm2, xmmword ptr {m}"),
+        10 => format!("vmovdqu ymm3, ymmword ptr {m}"),
+        11 => format!("cmovne {v}, qword ptr {m}"),
+        12 => format!("setb byte ptr {m}"),
         _ => format!("add {b}, 0x800"),
     }
 }

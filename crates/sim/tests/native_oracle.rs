@@ -716,8 +716,7 @@ proptest! {
         }
     }
 
-    /// Memory-heavy blocks whose pages fault in one at a time, less the
-    /// `push m`/`pop m` forms the encoder does not cover.
+    /// Memory-heavy blocks whose pages fault in one at a time.
     #[test]
     fn faulting_blocks_match_host(picks in proptest::collection::vec(any::<u64>(), 1..6)) {
         let insts: Vec<Inst> = picks
@@ -770,16 +769,8 @@ fn check_effects(
         .mem_operand()
         .map(|m| (native_addr(m, &before.gprs), m.width));
     let (load, store) = match inst.mnemonic() {
-        Mnemonic::Push => (operand, Some((rsp.wrapping_sub(8), 8))),
-        Mnemonic::Pop => {
-            // `pop m` addresses through the raised RSP.
-            let mut raised = before.gprs;
-            raised[Gpr::Rsp.number() as usize] = rsp.wrapping_add(8);
-            let dst = inst
-                .mem_operand()
-                .map(|m| (native_addr(m, &raised), m.width));
-            (Some((rsp, 8)), dst)
-        }
+        Mnemonic::Push => (None, Some((rsp.wrapping_sub(8), 8))),
+        Mnemonic::Pop => (Some((rsp, 8)), None),
         _ => (
             operand.filter(|_| inst.loads_memory()),
             operand.filter(|_| inst.stores_memory()),

@@ -16,8 +16,11 @@ cargo test -q
 cargo test -q -p serde -p serde_derive -p rand -p proptest
 # The simulator differentials again against release codegen, where the
 # cycle loop's debug_assert! bound checks are compiled out and the
-# unchecked indexing that ships is what runs.
+# unchecked indexing that ships is what runs: the replay warm-up
+# differential, and the timing unit tests that pin the prepared path
+# to the test-only reference pipeline.
 cargo test -q --release -p bhive-sim --test differential
+cargo test -q --release -p bhive-sim --lib timing::
 # The host CPU refereeing the functional executor that ships, in
 # release codegen.
 cargo test -q --release -p bhive-sim --test native_oracle

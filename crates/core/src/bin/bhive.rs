@@ -2,15 +2,8 @@
 //! plus block-level profiling/prediction utilities.
 
 use bhive::corpus::{Corpus, Family, FamilyCounts, Scale};
-use bhive::eval::{experiments, CorpusKind, MeasuredCorpus, Pipeline, Report};
-use bhive::harness::shard::{
-    shard_report_path, stats_for_display, ShardRunReport, ShardSpec, ShardStats,
-    SHARD_REPORT_SCHEMA,
-};
-use bhive::harness::{
-    corpus_fingerprint, corpus_keys, merge_shard_caches, ObsConfig, ProfileConfig, ProfileStats,
-    Profiler, TraceLog,
-};
+use bhive::eval::{experiments, CorpusKind, Pipeline, Report};
+use bhive::harness::{ObsConfig, ProfileConfig, ProfileStats, Profiler, TraceLog};
 use bhive::uarch::UarchKind;
 use std::io::{BufWriter, Read, Write};
 use std::process::ExitCode;
@@ -68,16 +61,6 @@ OPTIONS:
                       so six-figure corpora are one flag away
     --corpus C        Which corpus `measure` profiles: main | google |
                       training (default main)
-    --workers N       measure: shard the corpus by content-hash prefix
-                      across N worker processes (requires a cache
-                      directory), merge their shard caches, then replay
-                      the run warm in-process for the canonical CSV and
-                      observability. Resumable: re-running after any
-                      worker dies (even kill -9) re-profiles only the
-                      missing shards and yields bit-identical output
-    --shard i/N       measure: run as shard worker i of N (what
-                      --workers spawns), writing only this shard's cache
-                      log and completion report; no CSV on stdout
     --seed S          Corpus/noise seed (default 42)
     --threads T       Worker threads (default: all cores)
     --retries N       Retry transiently failed blocks up to N times with
@@ -86,9 +69,7 @@ OPTIONS:
     --tables FILE     measure/serve/profile/predict: load fitted tables
                       (bhive-tables/v1 JSON from `calibrate --out`) and
                       run with them instead of the shipped tables; the
-                      file's uarch must match --uarch. Incompatible
-                      with --workers/--shard (worker processes would
-                      not inherit the loaded tables)
+                      file's uarch must match --uarch
     --json            Emit reports as JSON
     --cache DIR       Persist measurements under DIR and resume from them
                       (also via the BHIVE_CACHE environment variable)
@@ -153,8 +134,6 @@ struct Options {
     retries: u32,
     uarch: UarchKind,
     corpus: CorpusKind,
-    workers: Option<u32>,
-    shard: Option<ShardSpec>,
     json: bool,
     cache: Option<std::path::PathBuf>,
     no_cache: bool,
@@ -243,8 +222,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         retries: 0,
         uarch: UarchKind::Haswell,
         corpus: CorpusKind::Main,
-        workers: None,
-        shard: None,
         json: false,
         cache: None,
         no_cache: false,
@@ -322,20 +299,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.corpus = CorpusKind::parse(&text)
                     .ok_or_else(|| format!("unknown corpus `{text}` (main|google|training)"))?;
             }
-            "--workers" => {
-                let workers: u32 = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                opts.workers = Some(workers);
-            }
-            "--shard" => {
-                opts.shard = Some(
-                    ShardSpec::parse(&value("--shard")?).map_err(|e| format!("--shard: {e}"))?,
-                );
-            }
             "--json" => opts.json = true,
             "--listen" => {
                 let text = value("--listen")?;
@@ -409,16 +372,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown option `{other}`")),
         }
     }
-    if opts.workers.is_some() && opts.shard.is_some() {
-        return Err("--workers (supervisor) and --shard (worker) are mutually exclusive".into());
-    }
-    if opts.tables.is_some() && (opts.workers.is_some() || opts.shard.is_some()) {
-        return Err(
-            "--tables is incompatible with --workers/--shard: worker processes \
-             would run on the shipped tables, not the loaded ones"
-                .into(),
-        );
-    }
     Ok(opts)
 }
 
@@ -466,11 +419,6 @@ fn run() -> Result<ExitCode, CliError> {
     if opts.help {
         print!("{USAGE}");
         return Ok(ExitCode::SUCCESS);
-    }
-    if (opts.workers.is_some() || opts.shard.is_some()) && command != "measure" {
-        return Err(CliError::Usage(
-            "--workers/--shard apply to the `measure` command only".into(),
-        ));
     }
     if command != "serve" {
         if let Some(flag) = opts.serve.given() {
@@ -631,27 +579,6 @@ fn run() -> Result<ExitCode, CliError> {
             // remainder re-measurable, note the partial run in the run
             // report, and exit 130 — not die mid-write.
             bhive::harness::interrupt::install();
-            if let Some(spec) = opts.shard {
-                // Worker mode: profile only this shard (plus steals) into
-                // the shard-suffixed cache, write the completion report,
-                // and exit — the supervisor owns the canonical output.
-                let stats = run_shard_worker(&pipeline, &opts, spec)?;
-                return Ok(if stats.is_unhealthy() {
-                    ExitCode::from(2)
-                } else if stats.interrupted {
-                    ExitCode::from(130)
-                } else {
-                    ExitCode::SUCCESS
-                });
-            }
-            if let Some(workers) = opts.workers {
-                // Supervisor mode: drive the worker fleet to completion
-                // and merge their caches, then fall through to the normal
-                // (now fully warm) in-process run, so the CSV, trace, and
-                // run report are produced by exactly the same code path —
-                // and are therefore bit-identical to a serial run.
-                run_sharded_supervisor(&pipeline, &opts, workers)?;
-            }
             let data = pipeline.measured(opts.corpus, opts.uarch);
             write_stdout(|out| data.write_csv(out))?;
             // Pipeline observability goes to stderr so the CSV on stdout
@@ -876,200 +803,6 @@ fn run_calibrate(opts: &Options) -> Result<ExitCode, CliError> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Reconstructs the CLI flags that reproduce a [`Scale`] in a child
-/// process. `f64::to_string` prints the shortest round-tripping decimal,
-/// so a `--fraction` forwarded this way parses back to the same bits.
-fn scale_args(scale: Scale) -> Vec<String> {
-    match scale {
-        Scale::PerApp(n) => vec!["--scale".into(), n.to_string()],
-        Scale::Fraction(f) => vec!["--fraction".into(), f.to_string()],
-        Scale::Paper => vec!["--paper-scale".into()],
-        Scale::PerFamily(counts) => Family::ALL
-            .into_iter()
-            .flat_map(|family| {
-                [
-                    "--scale-family".into(),
-                    format!("{}={}", family.name(), counts.get(family)),
-                ]
-            })
-            .collect(),
-    }
-}
-
-/// How many threads each of `workers` worker processes gets: an explicit
-/// `--threads` budget is split evenly; `0` (auto) splits the machine's
-/// cores so the fleet does not oversubscribe.
-fn threads_per_worker(threads: usize, workers: u32) -> usize {
-    let budget = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    (budget / workers as usize).max(1)
-}
-
-/// Worker mode (`measure --shard i/N`): profiles this shard's slice of
-/// the corpus (plus anything stolen from stragglers) into the
-/// shard-suffixed cache log, then atomically writes the completion
-/// report the supervisor looks for. Emits no CSV — the supervisor's
-/// warm replay produces the canonical output.
-fn run_shard_worker(
-    pipeline: &Pipeline,
-    opts: &Options,
-    spec: ShardSpec,
-) -> Result<ProfileStats, String> {
-    let dir = opts
-        .cache_dir()
-        .ok_or("--shard needs a cache directory (--cache DIR or BHIVE_CACHE)")?;
-    let corpus = pipeline.corpus(opts.corpus);
-    let config = pipeline.profile_config();
-    let stats =
-        MeasuredCorpus::measure_shard(&corpus, opts.uarch, &config, opts.threads, &dir, spec)
-            .map_err(|e| format!("shard {spec}: {e}"))?;
-    if stats.interrupted {
-        // An interrupted shard must not certify completion: everything
-        // measured so far is already flushed to the shard cache, and
-        // withholding the report makes the next supervisor round
-        // re-profile exactly the remainder.
-        eprintln!(
-            "shard {spec} {}/{}: interrupted; completion report withheld so a \
-             rerun resumes the remainder",
-            opts.corpus,
-            opts.uarch.short_name()
-        );
-        return Ok(stats);
-    }
-    // The report binds to the exact corpus and config, so a stale report
-    // from a different run can never satisfy a resume.
-    let profiler = Profiler::new(opts.uarch.desc(), config.clone());
-    let keys = corpus_keys(&profiler, &corpus.basic_blocks());
-    let report = ShardRunReport {
-        schema: SHARD_REPORT_SCHEMA.to_string(),
-        shard: spec,
-        corpus: opts.corpus.name().to_string(),
-        corpus_len: keys.len(),
-        corpus_fp: corpus_fingerprint(&keys),
-        config_fp: config.fingerprint(),
-        uarch: opts.uarch,
-        stats: ShardStats::from(&stats),
-    };
-    let path = shard_report_path(&dir, opts.corpus.name(), opts.uarch, spec);
-    report
-        .write(&path)
-        .map_err(|e| format!("writing shard report {}: {e}", path.display()))?;
-    eprintln!(
-        "shard {spec} {}/{}: {stats}",
-        opts.corpus,
-        opts.uarch.short_name()
-    );
-    Ok(stats)
-}
-
-/// Supervisor mode (`measure --workers N`): spawns one `--shard i/N`
-/// re-invocation of this binary per shard whose completion report is
-/// missing or stale, waits for the fleet, re-runs stragglers for a
-/// bounded number of rounds, and finally merges every shard cache into
-/// the canonical main log. Shards already certified by a previous
-/// (interrupted) run are *not* re-run — that is the resume path.
-fn run_sharded_supervisor(pipeline: &Pipeline, opts: &Options, workers: u32) -> Result<(), String> {
-    const MAX_ROUNDS: usize = 3;
-    let dir = opts
-        .cache_dir()
-        .ok_or("--workers needs a cache directory (--cache DIR or BHIVE_CACHE)")?;
-    let corpus = pipeline.corpus(opts.corpus);
-    let config = pipeline.profile_config();
-    let profiler = Profiler::new(opts.uarch.desc(), config.clone());
-    let keys = corpus_keys(&profiler, &corpus.basic_blocks());
-    let corpus_fp = corpus_fingerprint(&keys);
-    let config_fp = config.fingerprint();
-    let specs: Vec<ShardSpec> = (0..workers)
-        .map(|i| ShardSpec::new(i, workers).expect("index < count"))
-        .collect();
-    let certified = |spec: ShardSpec| -> Result<Option<ShardRunReport>, String> {
-        let path = shard_report_path(&dir, opts.corpus.name(), opts.uarch, spec);
-        let report = ShardRunReport::read(&path)
-            .map_err(|e| format!("reading shard report {}: {e}", path.display()))?;
-        Ok(report
-            .filter(|r| r.certifies(spec, opts.corpus.name(), corpus_fp, config_fp, opts.uarch)))
-    };
-    let exe = std::env::current_exe().map_err(|e| format!("locating the bhive executable: {e}"))?;
-    let threads = threads_per_worker(opts.threads, workers);
-    for round in 0..MAX_ROUNDS {
-        let mut pending = Vec::new();
-        for &spec in &specs {
-            if certified(spec)?.is_none() {
-                pending.push(spec);
-            }
-        }
-        if pending.is_empty() {
-            break;
-        }
-        eprintln!(
-            "supervisor: round {}: {} of {workers} shard(s) to run",
-            round + 1,
-            pending.len()
-        );
-        let mut children = Vec::new();
-        for &spec in &pending {
-            let child = std::process::Command::new(&exe)
-                .arg("measure")
-                .arg("--shard")
-                .arg(spec.to_string())
-                .args(scale_args(opts.scale))
-                .args(["--seed", &opts.seed.to_string()])
-                .args(["--threads", &threads.to_string()])
-                .args(["--retries", &opts.retries.to_string()])
-                .args(["--uarch", opts.uarch.short_name()])
-                .args(["--corpus", opts.corpus.name()])
-                .arg("--cache")
-                .arg(&dir)
-                .stdout(std::process::Stdio::null())
-                .spawn()
-                .map_err(|e| format!("spawning shard worker {spec}: {e}"))?;
-            children.push((spec, child));
-        }
-        for (spec, mut child) in children {
-            let status = child
-                .wait()
-                .map_err(|e| format!("waiting for shard worker {spec}: {e}"))?;
-            if !status.success() {
-                // The completion report, not the exit status, decides
-                // whether the shard's work is durable; a crashed worker
-                // simply stays pending for the next round.
-                eprintln!("supervisor: shard worker {spec} exited with {status}");
-            }
-        }
-    }
-    let mut merged: Option<ProfileStats> = None;
-    for &spec in &specs {
-        let report = certified(spec)?.ok_or_else(|| {
-            format!("shard {spec} did not complete after {MAX_ROUNDS} rounds; rerun to resume")
-        })?;
-        let stats = stats_for_display(&report.stats);
-        match &mut merged {
-            Some(merged) => merged.merge(&stats),
-            None => merged = Some(stats),
-        }
-    }
-    let merge = merge_shard_caches(&dir, opts.uarch, &config, workers)
-        .map_err(|e| format!("merging shard caches: {e}"))?;
-    eprintln!(
-        "supervisor: merged {} shard log(s) and {} steal segment(s) into {} cached record(s)",
-        merge.shard_logs, merge.steal_segments, merge.records
-    );
-    if let Some(stats) = merged {
-        eprintln!(
-            "sharded {}/{} across {workers} worker(s): {}",
-            opts.corpus,
-            opts.uarch.short_name(),
-            stats
-        );
-    }
-    Ok(())
-}
-
 /// Post-command observability fan-out: appends every observed corpus
 /// measurement to the trace log, writes the deterministic
 /// `run_report.json` next to it, and (with `--metrics`) prints the
@@ -1267,8 +1000,6 @@ mod tests {
             "--retries",
             "--uarch",
             "--corpus",
-            "--workers",
-            "--shard",
             "--json",
             "--cache",
             "--no-cache",
@@ -1344,25 +1075,7 @@ mod tests {
 
         let opts = parse(&["--tables", "t.json"]).unwrap();
         assert_eq!(opts.tables, Some(std::path::PathBuf::from("t.json")));
-        // Worker processes would run on the shipped tables, so the
-        // combination is rejected at parse time.
-        assert!(parse(&["--tables", "t.json", "--workers", "2"]).is_err());
-        assert!(parse(&["--tables", "t.json", "--shard", "0/2"]).is_err());
         assert!(parse(&["--report"]).is_err(), "--report needs a value");
-    }
-
-    #[test]
-    fn workers_and_shard_flags_parse_and_exclude_each_other() {
-        let opts = parse(&["--workers", "4"]).unwrap();
-        assert_eq!(opts.workers, Some(4));
-        assert_eq!(opts.shard, None);
-        let opts = parse(&["--shard", "2/4"]).unwrap();
-        assert_eq!(opts.shard, Some(ShardSpec::new(2, 4).unwrap()));
-        assert!(parse(&["--workers", "0"]).is_err(), "zero workers");
-        assert!(parse(&["--shard", "4/4"]).is_err(), "index out of range");
-        assert!(parse(&["--shard", "banana"]).is_err());
-        let err = parse(&["--workers", "2", "--shard", "0/2"]).unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
     }
 
     #[test]
@@ -1394,27 +1107,6 @@ mod tests {
         assert_eq!(opts.scale, Scale::PerFamily(expected));
         assert!(parse(&["--scale-family", "numeric"]).is_err(), "needs =N");
         assert!(parse(&["--scale-family", "martian=3"]).is_err());
-    }
-
-    #[test]
-    fn scale_args_round_trip_through_the_parser() {
-        for scale in [
-            Scale::PerApp(37),
-            Scale::Fraction(0.1),
-            Scale::Paper,
-            Scale::PerFamily(FamilyCounts::uniform(9).with(Family::Media, 4)),
-        ] {
-            let args = scale_args(scale);
-            let args: Vec<&str> = args.iter().map(String::as_str).collect();
-            assert_eq!(parse(&args).unwrap().scale, scale, "{args:?}");
-        }
-    }
-
-    #[test]
-    fn threads_split_evenly_without_starving_workers() {
-        assert_eq!(threads_per_worker(8, 4), 2);
-        assert_eq!(threads_per_worker(2, 4), 1, "never zero threads");
-        assert!(threads_per_worker(0, 2) >= 1, "auto splits the machine");
     }
 
     #[test]

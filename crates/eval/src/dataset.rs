@@ -129,42 +129,6 @@ impl MeasuredCorpus {
         )
     }
 
-    /// Profiles the shard `spec` owns of `corpus` — one worker process
-    /// of a sharded run ([`bhive_harness::profile_corpus_sharded`]) —
-    /// into shard-suffixed cache logs under `cache_dir`, stealing from
-    /// straggling siblings once its own sub-corpus is durable.
-    ///
-    /// Returns only the worker's [`ProfileStats`]: per-block results
-    /// for the full corpus come from the supervisor's warm replay
-    /// (an ordinary [`MeasuredCorpus::measure_with_stats_supervised`])
-    /// after [`bhive_harness::merge_shard_caches`], which is what makes
-    /// the final dataset bit-identical to an unsharded run.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the shard cache cannot be opened — including lock
-    /// contention when another live worker already owns this shard.
-    pub fn measure_shard(
-        corpus: &Corpus,
-        uarch: UarchKind,
-        config: &ProfileConfig,
-        threads: usize,
-        cache_dir: &Path,
-        spec: bhive_harness::ShardSpec,
-    ) -> std::io::Result<ProfileStats> {
-        let profiler = Profiler::new(uarch.desc(), config.clone());
-        let blocks = corpus.basic_blocks();
-        let report = bhive_harness::profile_corpus_sharded(
-            &profiler,
-            &blocks,
-            threads,
-            cache_dir,
-            &Supervision::default(),
-            spec,
-        )?;
-        Ok(report.stats)
-    }
-
     /// Fraction of attempted blocks that profiled successfully.
     pub fn success_rate(&self) -> f64 {
         if self.attempted == 0 {

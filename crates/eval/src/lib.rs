@@ -55,8 +55,7 @@ pub enum CorpusKind {
 }
 
 impl CorpusKind {
-    /// Stable lower-case name (the CLI's `--corpus` values, and the
-    /// label baked into shard-report filenames).
+    /// Stable lower-case name (the CLI's `--corpus` values).
     pub fn name(self) -> &'static str {
         match self {
             CorpusKind::Main => "main",

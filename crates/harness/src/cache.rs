@@ -56,13 +56,6 @@
 //! inode by rename — a lock on the old inode would guard nothing. The
 //! kernel releases the lock when the holding process exits, however it
 //! died, so a `kill -9` never wedges the cache.
-//!
-//! Sharded multi-process profiling ([`crate::shard`]) gives every worker
-//! its own shard-suffixed log (one writer each) and merges them after
-//! the run. Readers (work stealing scans a sibling shard's log while
-//! its owner appends) do not take the lock: every complete line is
-//! immutable once written, so a lock-free scan that stops at the first
-//! invalid line is always sound.
 
 use crate::chaos::ChaosInjector;
 use crate::config::ProfileConfig;
@@ -126,14 +119,15 @@ impl LockGuard {
     /// (never blocking) when any other handle — in this process or
     /// another — already holds it.
     ///
-    /// Lock files can be *swept* by [`sweep_orphaned_locks`] between our
-    /// `open` and `flock`: holding a lock on an unlinked inode is
-    /// invisible to every later opener (they lock a fresh file), so
-    /// after winning the flock we verify the path still names the inode
-    /// we locked and retry on a freshly created file if not.
+    /// A lock file can be unlinked between our `open` and `flock` (say,
+    /// by someone clearing the cache directory): holding a lock on an
+    /// unlinked inode is invisible to every later opener (they lock a
+    /// fresh file), so after winning the flock we verify the path still
+    /// names the inode we locked and retry on a freshly created file if
+    /// not.
     pub(crate) fn acquire(path: &Path) -> std::io::Result<LockGuard> {
         let lock_path = Self::lock_path(path);
-        // One retry per concurrent sweep; more than a few means
+        // One retry per concurrent unlink; more than a few means
         // something is unlinking the lock file in a loop, which is worth
         // surfacing as an error instead of spinning.
         for _ in 0..16 {
@@ -152,7 +146,7 @@ impl LockGuard {
                     },
                     format!(
                         "log {} is locked by another writer (single-writer contract; \
-                         shard the run or wait for the holder to exit): {err}",
+                         wait for the holder to exit): {err}",
                         path.display()
                     ),
                 )
@@ -180,45 +174,6 @@ fn same_inode(path: &Path, file: &File) -> bool {
         (Ok(on_path), Ok(on_fd)) => on_path.dev() == on_fd.dev() && on_path.ino() == on_fd.ino(),
         _ => false,
     }
-}
-
-/// Sweeps orphaned `.lock` sidecars in `dir`: a killed shard run leaves
-/// the sidecars of its merged-and-removed logs behind forever (a clean
-/// exit keeps its sidecar too, but its log still exists, so it is
-/// *reused*, not orphaned). A sidecar is removed only when its log file
-/// is gone **and** its flock can be won — a live holder fails the
-/// try-lock and is skipped — and the unlink happens while holding that
-/// flock, so racing openers are pushed onto [`LockGuard::acquire`]'s
-/// same-inode retry instead of silently sharing a log.
-pub(crate) fn sweep_orphaned_locks(dir: &Path) -> std::io::Result<()> {
-    #[cfg(unix)]
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let Ok(name) = entry.file_name().into_string() else {
-            continue;
-        };
-        let Some(log_name) = name.strip_suffix(".lock") else {
-            continue;
-        };
-        if log_name.is_empty() || dir.join(log_name).exists() {
-            continue;
-        }
-        let lock_path = entry.path();
-        // Open without create: if the sidecar vanished (another sweeper
-        // won), there is nothing to do.
-        let Ok(file) = OpenOptions::new().write(true).open(&lock_path) else {
-            continue;
-        };
-        if flock::try_lock_exclusive(&file).is_err() || !same_inode(&lock_path, &file) {
-            continue;
-        }
-        // We hold the lock on the inode the path names and the log is
-        // gone: no live writer, safe to unlink.
-        std::fs::remove_file(&lock_path)?;
-    }
-    #[cfg(not(unix))]
-    let _ = dir;
-    Ok(())
 }
 
 /// Removes compaction temp files orphaned next to the log at `path` by a
@@ -452,82 +407,6 @@ where
     Ok((reader.into_inner(), recovery))
 }
 
-/// Writes `entries` as checksummed records in ascending key order — the
-/// one canonical byte encoding of a record set. Both
-/// [`MeasurementCache::compact`] and the sharded merge
-/// ([`crate::shard::merge_shard_caches`]) emit through here, which is
-/// what makes "merged shard logs" and "compacted single-process log"
-/// byte-identical when they hold the same records.
-pub(crate) fn write_canonical_records<W: Write>(
-    writer: &mut W,
-    uarch: UarchKind,
-    fp: u64,
-    entries: &HashMap<u64, CachedOutcome>,
-) -> std::io::Result<()> {
-    let mut keys: Vec<u64> = entries.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let body = RecordBody {
-            key,
-            uarch,
-            fp,
-            outcome: entries[&key].clone(),
-        };
-        let line = record_line(&body)?;
-        writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-    }
-    Ok(())
-}
-
-/// Scans the log at `path` *without touching it* — no truncation, no
-/// lock — and returns every valid record for `(uarch, fp)` in file
-/// order, stopping at the first torn or invalid line. Safe to run
-/// against a log whose owner is appending concurrently: complete lines
-/// are immutable, and an in-flight append reads as the (ignored) torn
-/// tail. This is how work stealing inspects a sibling shard's progress
-/// and how the sharded merge unions shard logs.
-///
-/// Returns an empty list when the file does not exist.
-///
-/// # Errors
-///
-/// Returns an error only on real I/O failure, never on corruption.
-pub(crate) fn scan_live_records(
-    path: &Path,
-    uarch: UarchKind,
-    fp: u64,
-) -> std::io::Result<Vec<(u64, CachedOutcome)>> {
-    let file = match File::open(path) {
-        Ok(file) => file,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(err) => return Err(err),
-    };
-    let mut out = Vec::new();
-    let mut reader = BufReader::new(file);
-    let mut line = Vec::new();
-    loop {
-        line.clear();
-        let n = std::io::BufRead::read_until(&mut reader, b'\n', &mut line)?;
-        if n == 0 || line.last() != Some(&b'\n') {
-            break;
-        }
-        let Ok(text) = std::str::from_utf8(&line) else {
-            break;
-        };
-        let Some(record) = checked_record(text.trim_end()) else {
-            break;
-        };
-        if record.body.uarch == uarch
-            && record.body.fp == fp
-            && !record.body.outcome.is_transient_failure()
-        {
-            out.push((record.body.key, record.body.outcome));
-        }
-    }
-    Ok(out)
-}
-
 /// What [`MeasurementCache::open`] found in the log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheOpenReport {
@@ -570,29 +449,12 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Fraction of lookups served from disk.
-    ///
-    /// Always *derived* from the merged totals, never stored: averaging
-    /// per-shard hit ratios does not commute (a 9-hit/1-miss shard and a
-    /// 0-hit/0-miss shard do not average to 45%), so the ratio must be
-    /// recomputed after [`CacheStats::merge`], not merged itself.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             return 0.0;
         }
         self.hits as f64 / total as f64
-    }
-
-    /// Folds another shard's counters into this one. Every field
-    /// combines associatively and commutatively — counts add, `degraded`
-    /// ORs — so merging N shards gives the same result in any order or
-    /// grouping (property-tested in `parallel`).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.stale_evictions += other.stale_evictions;
-        self.write_errors += other.write_errors;
-        self.degraded |= other.degraded;
     }
 }
 
@@ -715,39 +577,7 @@ impl MeasurementCache {
     /// As [`MeasurementCache::open`].
     pub fn open_for(dir: &Path, uarch: &Uarch, config: &ProfileConfig) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        Self::open_at_for(Self::log_path(dir, uarch.kind), uarch, config)
-    }
-
-    /// [`MeasurementCache::open`] against an explicit log path — the
-    /// entry point sharded profiling uses for its shard-suffixed logs
-    /// ([`crate::shard::shard_log_path`]). Same locking, recovery, and
-    /// orphan-temp cleanup as `open`.
-    ///
-    /// # Errors
-    ///
-    /// As [`MeasurementCache::open`].
-    pub fn open_at(
-        path: PathBuf,
-        uarch: UarchKind,
-        config: &ProfileConfig,
-    ) -> std::io::Result<Self> {
-        Self::open_at_for(path, uarch.desc(), config)
-    }
-
-    /// [`MeasurementCache::open_at`] against an explicit description
-    /// (see [`MeasurementCache::open_for`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`MeasurementCache::open`].
-    pub fn open_at_for(
-        path: PathBuf,
-        uarch: &Uarch,
-        config: &ProfileConfig,
-    ) -> std::io::Result<Self> {
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent)?;
-        }
+        let path = Self::log_path(dir, uarch.kind);
         let fingerprint = binding_fingerprint(config, uarch);
         let uarch = uarch.kind;
 
@@ -755,9 +585,6 @@ impl MeasurementCache {
         // temp next to an unlocked log could belong to a live compactor).
         let lock = LockGuard::acquire(&path)?;
         clean_orphaned_temps(&path)?;
-        if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            sweep_orphaned_locks(dir)?;
-        }
 
         let file = OpenOptions::new()
             .read(true)
@@ -882,7 +709,9 @@ impl MeasurementCache {
     }
 
     /// Rewrites the log with only the live records (dropping stale
-    /// fingerprints and duplicate appends) via temp file + atomic rename.
+    /// fingerprints and duplicate appends) in ascending key order — one
+    /// canonical byte encoding of a record set — via temp file + atomic
+    /// rename.
     ///
     /// # Errors
     ///
@@ -900,7 +729,18 @@ impl MeasurementCache {
         };
         {
             let mut tmp = BufWriter::new(File::create(&tmp_path)?);
-            write_canonical_records(&mut tmp, self.uarch, self.fingerprint, &self.entries)?;
+            let mut keys: Vec<u64> = self.entries.keys().copied().collect();
+            keys.sort_unstable();
+            for key in keys {
+                let body = RecordBody {
+                    key,
+                    uarch: self.uarch,
+                    fp: self.fingerprint,
+                    outcome: self.entries[&key].clone(),
+                };
+                tmp.write_all(record_line(&body)?.as_bytes())?;
+                tmp.write_all(b"\n")?;
+            }
             let tmp = tmp.into_inner().map_err(|e| e.into_error())?;
             tmp.sync_all()?;
         }
@@ -963,40 +803,6 @@ mod tests {
         assert_eq!(cache.get(7), Some(&sample_failure()));
         assert_eq!(cache.open_report().loaded, 1);
         assert_eq!(cache.open_report().stale_evictions, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn orphaned_lock_sidecars_are_swept_on_open() {
-        let dir = temp_dir("lock-sweep");
-        let config = ProfileConfig::bhive();
-        // An orphan: a sidecar whose log was merged away by a killed
-        // shard run. A live sidecar: the one belonging to an existing
-        // log (reused, never swept).
-        let orphan = dir.join("measurements-hsw.s0of4.jsonl.lock");
-        std::fs::write(&orphan, b"").unwrap();
-        let live_log = dir.join("measurements-skl.jsonl");
-        std::fs::write(&live_log, b"").unwrap();
-        let live_lock = dir.join("measurements-skl.jsonl.lock");
-        std::fs::write(&live_lock, b"").unwrap();
-        {
-            let _cache = MeasurementCache::open(&dir, UarchKind::Haswell, &config).unwrap();
-            assert!(!orphan.exists(), "orphaned sidecar swept on open");
-            assert!(live_lock.exists(), "sidecar with a live log is kept");
-        }
-        // A sidecar whose flock is held by a live writer is never swept,
-        // even when its log is missing (the holder may be about to
-        // create it).
-        let held_path = dir.join("measurements-ivb.jsonl");
-        let held = LockGuard::acquire(&held_path).unwrap();
-        {
-            let _cache = MeasurementCache::open(&dir, UarchKind::Haswell, &config).unwrap();
-            assert!(
-                LockGuard::lock_path(&held_path).exists(),
-                "held sidecar survives the sweep"
-            );
-        }
-        drop(held);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1143,18 +949,18 @@ mod tests {
     }
 
     /// Two records written by `insert`, and the log they live in.
-    fn log_of_two(tag: &str) -> (PathBuf, PathBuf, u64) {
+    fn log_of_two(tag: &str) -> (PathBuf, PathBuf) {
         let dir = temp_dir(tag);
         let mut cache =
             MeasurementCache::open(&dir, UarchKind::Haswell, &ProfileConfig::bhive()).unwrap();
         cache.insert(1, sample_failure()).unwrap();
         cache.insert(2, sample_failure()).unwrap();
-        (dir, cache.path().to_path_buf(), cache.fingerprint())
+        (dir, cache.path().to_path_buf())
     }
 
     #[test]
     fn record_in_another_byte_form_loads_through_the_fallback() {
-        let (dir, path, fp) = log_of_two("respelled");
+        let (dir, path) = log_of_two("respelled");
         // Respell the first record's body with whitespace around every
         // `,` and `:` (its strings hold neither): still valid JSON, still
         // the same record, but no longer the bytes the sum was taken of.
@@ -1172,12 +978,6 @@ mod tests {
         let text = format!("{respelled}\n{rest}");
         std::fs::write(&path, &text).unwrap();
 
-        assert_eq!(
-            scan_live_records(&path, UarchKind::Haswell, fp)
-                .unwrap()
-                .len(),
-            2
-        );
         let cache =
             MeasurementCache::open(&dir, UarchKind::Haswell, &ProfileConfig::bhive()).unwrap();
         assert_eq!(cache.len(), 2);
@@ -1192,8 +992,8 @@ mod tests {
     }
 
     #[test]
-    fn flipped_body_digit_is_rejected_by_open_and_scan() {
-        let (dir, path, fp) = log_of_two("body-digit");
+    fn flipped_body_digit_is_rejected_by_open() {
+        let (dir, path) = log_of_two("body-digit");
         // Flip the last digit of the second record's body (its `vaddr`),
         // leaving the sum as written.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -1208,10 +1008,6 @@ mod tests {
         bytes[victim] = if bytes[victim] == b'9' { b'8' } else { b'9' };
         std::fs::write(&path, &bytes).unwrap();
 
-        // The lock-free scan stops before the record and leaves the file.
-        let live = scan_live_records(&path, UarchKind::Haswell, fp).unwrap();
-        assert_eq!(live.iter().map(|r| r.0).collect::<Vec<_>>(), [1]);
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         // Open drops it and truncates the log back to the first record.
         let cache =
             MeasurementCache::open(&dir, UarchKind::Haswell, &ProfileConfig::bhive()).unwrap();
@@ -1327,14 +1123,15 @@ mod tests {
         let pid_tmp = dir.join("measurements-hsw.jsonl.tmp.999999999");
         std::fs::write(&legacy, b"stale garbage\n").unwrap();
         std::fs::write(&pid_tmp, b"stale garbage\n").unwrap();
-        // An unrelated sibling shard log must NOT be treated as a temp.
+        // A sibling file sharing the log's stem (an older build's
+        // per-shard log) must NOT be treated as a temp.
         let shard_log = dir.join("measurements-hsw.s0of4.jsonl");
         std::fs::write(&shard_log, b"").unwrap();
 
         let mut cache = MeasurementCache::open(&dir, UarchKind::Haswell, &config).unwrap();
         assert!(!legacy.exists(), "legacy temp cleaned at open");
         assert!(!pid_tmp.exists(), "dead pid temp cleaned at open");
-        assert!(shard_log.exists(), "sibling shard logs are untouched");
+        assert!(shard_log.exists(), "sibling logs are untouched");
         assert_eq!(cache.len(), 1, "the real log was not clobbered");
 
         // Compaction now uses a pid-unique temp and leaves no leftovers.
@@ -1350,74 +1147,6 @@ mod tests {
         let reopened = MeasurementCache::open(&dir, UarchKind::Haswell, &config).unwrap();
         assert_eq!(reopened.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn concurrent_scan_reads_only_complete_records() {
-        let dir = temp_dir("scan");
-        let config = ProfileConfig::bhive();
-        let fp = config.fingerprint();
-        let mut cache = MeasurementCache::open(&dir, UarchKind::Haswell, &config).unwrap();
-        cache.insert(3, sample_failure()).unwrap();
-        cache.insert(1, sample_failure()).unwrap();
-        let path = MeasurementCache::log_path(&dir, UarchKind::Haswell);
-
-        // Scanning while the owner holds the lock works (readers are
-        // lock-free) and sees both complete records in file order.
-        let live = scan_live_records(&path, UarchKind::Haswell, fp).unwrap();
-        assert_eq!(live.len(), 2);
-        assert_eq!(live[0].0, 3, "file order, not key order");
-
-        // A torn in-flight append is ignored, and — crucially — the
-        // owner's file is NOT truncated by the scan.
-        let before = std::fs::metadata(&path).unwrap().len();
-        let mut torn = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        torn.write_all(b"{\"sum\":12,\"body\":{partial").unwrap();
-        drop(torn);
-        let live = scan_live_records(&path, UarchKind::Haswell, fp).unwrap();
-        assert_eq!(live.len(), 2, "torn tail ignored");
-        assert!(
-            std::fs::metadata(&path).unwrap().len() > before,
-            "scan must never truncate a live writer's log"
-        );
-        // Missing files read as empty, not as an error.
-        let missing = dir.join("no-such.jsonl");
-        assert!(scan_live_records(&missing, UarchKind::Haswell, fp)
-            .unwrap()
-            .is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cache_stats_merge_is_commutative_and_counts_add() {
-        let a = CacheStats {
-            hits: 9,
-            misses: 1,
-            stale_evictions: 2,
-            write_errors: 0,
-            degraded: false,
-        };
-        let b = CacheStats {
-            hits: 0,
-            misses: 0,
-            stale_evictions: 1,
-            write_errors: 3,
-            degraded: true,
-        };
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.hits, 9);
-        assert_eq!(ab.write_errors, 3);
-        assert!(ab.degraded);
-        // The ratio is derived from merged totals: 9/(9+1+0+0), not the
-        // average of the per-shard ratios (which would be (0.9+0)/2).
-        assert!((ab.hit_rate() - 0.9).abs() < 1e-12);
     }
 
     #[test]

@@ -153,10 +153,9 @@ impl ProfileFailure {
         }
     }
 
-    /// Every label [`ProfileFailure::category`] can return. Code that
-    /// round-trips categories through strings (e.g. deserialized shard
-    /// statistics) interns against this list so an unknown label is
-    /// detected instead of silently minted.
+    /// Every label [`ProfileFailure::category`] can return, for code
+    /// that enumerates the categories (e.g. per-category reports) or
+    /// must detect an unknown label instead of silently minting one.
     pub const CATEGORIES: &'static [&'static str] = &[
         "crash",
         "too-many-faults",
@@ -322,7 +321,7 @@ pub enum RequestFailure {
 
 impl RequestFailure {
     /// Every label [`RequestFailure::category`] can return, for the same
-    /// interning discipline as [`ProfileFailure::CATEGORIES`].
+    /// uses as [`ProfileFailure::CATEGORIES`].
     pub const CATEGORIES: &'static [&'static str] = &[
         "queue-full",
         "rate-limited",

@@ -70,7 +70,6 @@ pub mod obs;
 mod parallel;
 mod profiler;
 mod retry;
-pub mod shard;
 
 /// The simulated machine [`profile_attempts`] and
 /// [`Profiler::profile_attempt`] run on, re-exported so callers can own
@@ -95,7 +94,3 @@ pub use parallel::{
 };
 pub use profiler::Profiler;
 pub use retry::{BreakerConfig, BreakerState, BreakerTrip, CircuitBreaker, RetryPolicy};
-pub use shard::{
-    corpus_fingerprint, corpus_keys, merge_shard_caches, profile_corpus_sharded, shard_log_path,
-    shard_of, shard_report_path, MergeReport, ShardRunReport, ShardSpec, ShardStats,
-};

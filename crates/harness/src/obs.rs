@@ -1083,8 +1083,7 @@ pub struct TraceLog {
     recovery: Option<JsonlRecovery>,
     /// Exclusive writer lock on the sidecar `<log>.lock` file — same
     /// single-writer contract as the measurement cache: two processes
-    /// interleaving appends would corrupt checksummed lines. Sharded
-    /// workers therefore trace to shard-suffixed paths.
+    /// interleaving appends would corrupt checksummed lines.
     _lock: LockGuard,
 }
 

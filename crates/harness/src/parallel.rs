@@ -183,10 +183,6 @@ impl Supervision {
 /// What one corpus run did: throughput of the pipeline itself, dedup
 /// effectiveness, failure mix, retry recovery, run health, and per-worker
 /// utilization.
-///
-/// Stats from several runs — phase A + work stealing, or one run per
-/// shard process — combine with [`ProfileStats::merge`], which is
-/// commutative and associative (property-tested in `tests/stats_merge.rs`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileStats {
     /// Blocks submitted (including duplicates).
@@ -244,13 +240,6 @@ pub struct WorkerStats {
     pub profiled: usize,
     /// Time spent inside the profiler (as opposed to queueing).
     pub busy: Duration,
-    /// Wall-clock window `busy` was accumulated over — the owning run's
-    /// elapsed time, stamped when that run finished. Carried per worker
-    /// so utilization survives [`ProfileStats::merge`]: after merging
-    /// shards, dividing a shard worker's busy time by the *merged*
-    /// elapsed (the old behavior) would shrink every ratio toward zero,
-    /// and the shrinkage would depend on merge order.
-    pub span: Duration,
     /// Panics this worker caught.
     pub panics: usize,
     /// Machines this worker quarantined (rebuilt fresh) after a panic
@@ -258,121 +247,26 @@ pub struct WorkerStats {
     pub quarantined: usize,
 }
 
-impl WorkerStats {
-    /// Canonical ordering key: merged worker lists are sorted by this so
-    /// [`ProfileStats::merge`] is commutative (thread identity carries
-    /// no meaning across runs).
-    fn canonical_key(&self) -> (usize, Duration, Duration, usize, usize) {
-        (
-            self.profiled,
-            self.busy,
-            self.span,
-            self.panics,
-            self.quarantined,
-        )
-    }
-}
-
 impl ProfileStats {
-    /// Per-worker busy fraction of that worker's run window, in worker
+    /// Per-worker busy fraction of the run's wall-clock time, in worker
     /// order. Near-1.0 everywhere means the corpus kept every thread fed.
-    ///
-    /// Each ratio divides the worker's busy time by its *own* recorded
-    /// [`WorkerStats::span`] (falling back to the run's elapsed time for
-    /// stats recorded before spans existed), so the number stays correct
-    /// after merging shard stats — dividing by the merged wall clock
-    /// does not commute.
     ///
     /// The ratio is reported *raw*: a value above 1.0 means busy-time
     /// accounting disagrees with the wall clock (timer skew, a worker
     /// still mid-block when the clock stopped) and is worth seeing, not
     /// clamping away.
     pub fn worker_utilization(&self) -> Vec<f64> {
-        let fallback = self.elapsed.as_secs_f64();
+        let elapsed = self.elapsed.as_secs_f64();
         self.workers
             .iter()
             .map(|w| {
-                let span = w.span.as_secs_f64();
-                let window = if span > 0.0 { span } else { fallback };
-                if window > 0.0 {
-                    w.busy.as_secs_f64() / window
+                if elapsed > 0.0 {
+                    w.busy.as_secs_f64() / elapsed
                 } else {
                     0.0
                 }
             })
             .collect()
-    }
-
-    /// Folds another run's stats into this one — the cross-shard (and
-    /// phase/steal) aggregation. Commutative and associative in every
-    /// field (property-tested in `tests/stats_merge.rs`):
-    ///
-    /// * counts and failure maps add;
-    /// * `elapsed` takes the max (shards run concurrently; summing would
-    ///   double-count the wall clock) and `blocks_per_sec` is recomputed
-    ///   from the merged totals — never averaged, ratios do not commute;
-    /// * worker rows concatenate and re-sort canonically, each keeping
-    ///   its own [`WorkerStats::span`] for utilization;
-    /// * the breaker keeps the trip with the smallest ordinal evidence,
-    ///   cache stats merge via [`CacheStats::merge`], chaos counters add;
-    /// * observability keeps only the associative registries (metrics,
-    ///   wall metrics, drop counts). Event streams are run-local — their
-    ///   `unique` ordinals index *that run's* submission order, so
-    ///   cross-run event interleaving would be meaningless — and are
-    ///   dropped from the merged record.
-    pub fn merge(&mut self, other: &ProfileStats) {
-        self.total_blocks += other.total_blocks;
-        self.unique_blocks += other.unique_blocks;
-        self.successful_blocks += other.successful_blocks;
-        self.cache_hits += other.cache_hits;
-        self.threads += other.threads;
-        self.elapsed = self.elapsed.max(other.elapsed);
-        self.panics += other.panics;
-        self.retried_blocks += other.retried_blocks;
-        self.recovered_blocks += other.recovered_blocks;
-        self.retry_attempts += other.retry_attempts;
-        self.breaker = BreakerTrip::earliest(self.breaker, other.breaker);
-        self.chaos = match (self.chaos, other.chaos) {
-            (Some(a), Some(b)) => Some(ChaosStats {
-                injected_panics: a.injected_panics + b.injected_panics,
-                forced_transients: a.forced_transients + b.forced_transients,
-                cache_write_errors: a.cache_write_errors + b.cache_write_errors,
-                dropped_connections: a.dropped_connections + b.dropped_connections,
-                slow_loris_stalls: a.slow_loris_stalls + b.slow_loris_stalls,
-                burst_requests: a.burst_requests + b.burst_requests,
-            }),
-            (a, b) => a.or(b),
-        };
-        self.interrupted |= other.interrupted;
-        for (category, n) in &other.failures {
-            *self.failures.entry(category).or_insert(0) += n;
-        }
-        self.workers.extend(other.workers.iter().cloned());
-        self.workers.sort_by_key(WorkerStats::canonical_key);
-        self.cache = match (self.cache, other.cache) {
-            (Some(mut a), Some(b)) => {
-                a.merge(&b);
-                Some(a)
-            }
-            (a, b) => a.or(b),
-        };
-        self.obs = match (self.obs.take(), other.obs.as_ref()) {
-            (None, None) => None,
-            (a, b) => {
-                let mut merged = RunObs::default();
-                for side in a.iter().chain(b.cloned().iter()) {
-                    merged.metrics.merge(&side.metrics);
-                    merged.wall_metrics.merge(&side.wall_metrics);
-                    merged.dropped_events += side.dropped_events;
-                }
-                Some(merged)
-            }
-        };
-        self.blocks_per_sec = if self.elapsed.as_secs_f64() > 0.0 {
-            self.total_blocks as f64 / self.elapsed.as_secs_f64()
-        } else {
-            0.0
-        };
     }
 
     /// Machines quarantined across all workers.
@@ -889,12 +783,6 @@ pub fn profile_corpus_supervised(
     });
 
     let elapsed = started.elapsed();
-    // Stamp each worker's accounting window now, while the run's wall
-    // clock is the right denominator; after a cross-shard merge it no
-    // longer is (see [`WorkerStats::span`]).
-    for w in &mut workers {
-        w.span = elapsed;
-    }
     let mut failures = BTreeMap::new();
     for result in &results {
         if let Err(failure) = result {
@@ -1319,7 +1207,6 @@ mod tests {
             workers: vec![WorkerStats {
                 profiled: 1,
                 busy: Duration::from_millis(1500),
-                span: Duration::from_secs(1),
                 panics: 0,
                 quarantined: 0,
             }],

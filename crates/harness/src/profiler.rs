@@ -40,8 +40,8 @@ impl Profiler {
     /// uarch's fitted-table fingerprint when one is active, see
     /// [`crate::cache::binding_fingerprint`]). `None` when the block
     /// does not encode (such blocks fail deterministically and are
-    /// never cached). This is the key the on-disk cache, the parallel
-    /// deduplicator, and the shard partitioner all agree on.
+    /// never cached). This is the key the on-disk cache and the parallel
+    /// deduplicator agree on.
     pub fn content_key(&self, block: &bhive_asm::BasicBlock) -> Option<u64> {
         let bytes = block.encode().ok()?;
         Some(crate::cache::cache_key(

@@ -1,9 +1,12 @@
-//! End-to-end tests of the `bhive` binary: exit codes, help output, and
-//! the measurement cache's warm/cold bit-identity as seen from the CLI.
+//! End-to-end tests of the `bhive` binary: exit codes, help output, the
+//! measurement cache's warm/cold bit-identity as seen from the CLI, and
+//! resuming a `measure` run that was killed or interrupted mid-flight.
 
 use std::io::Read;
-use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::os::unix::process::ExitStatusExt;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn bhive(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bhive"))
@@ -84,6 +87,103 @@ fn measure_with_cache_is_warm_and_bit_identical() {
         "{uncached_stderr}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The corpus the kill-and-resume tests measure: large enough that a
+/// signal sent after the first cached record lands well before the end.
+const RESUME_RUN: [&str; 5] = ["measure", "--scale", "40", "--threads", "2"];
+
+/// `bhive measure` on [`RESUME_RUN`] with `--cache cache`, returned once
+/// the cache log holds at least one complete record.
+fn spawn_measure_until_first_record(cache: &Path) -> Child {
+    let log = cache.join("measurements-hsw.jsonl");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bhive"))
+        .args(RESUME_RUN)
+        .arg("--cache")
+        .arg(cache)
+        .env_remove("BHIVE_CACHE")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("bhive binary runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        if std::fs::read(&log).is_ok_and(|bytes| bytes.contains(&b'\n')) {
+            return child;
+        }
+        if let Some(status) = child.try_wait().expect("polling bhive") {
+            panic!("measure exited ({status}) before writing a record");
+        }
+        assert!(Instant::now() < deadline, "no cached record after 60 s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Reruns [`RESUME_RUN`] on `cache` and checks it completes with a CSV
+/// byte-identical to a `--no-cache` run, serving part of the corpus
+/// from the records the cut-short run left and measuring the rest.
+fn assert_resumes_byte_identical(cache: &Path) {
+    let mut args = RESUME_RUN.to_vec();
+    args.extend(["--cache", cache.to_str().unwrap()]);
+    let resumed = bhive(&args);
+    assert!(resumed.status.success(), "{resumed:?}");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    let counts = stderr
+        .split_once("disk cache: ")
+        .and_then(|(_, rest)| rest.split_once(" stale"))
+        .unwrap_or_else(|| panic!("no disk-cache counts: {stderr}"))
+        .0;
+    // `N hit(s), M miss(es)`
+    let count = |unit: &str| -> usize {
+        counts
+            .split(", ")
+            .find_map(|part| {
+                let (n, word) = part.split_once(' ')?;
+                word.starts_with(unit).then(|| n.parse().ok())?
+            })
+            .unwrap_or_else(|| panic!("no `{unit}` count: {stderr}"))
+    };
+    assert!(count("hit") > 0, "resumed cold: {stderr}");
+    assert!(count("miss") > 0, "nothing left to resume: {stderr}");
+
+    let mut args = RESUME_RUN.to_vec();
+    args.push("--no-cache");
+    let reference = bhive(&args);
+    assert!(reference.status.success(), "{reference:?}");
+    assert_eq!(
+        resumed.stdout, reference.stdout,
+        "the resumed CSV must be byte-identical to an uncached run"
+    );
+}
+
+#[test]
+fn measure_killed_mid_run_resumes_byte_identical() {
+    let dir = temp_dir("kill-resume");
+    let mut victim = spawn_measure_until_first_record(&dir);
+    victim.kill().expect("SIGKILL delivered");
+    let status = victim.wait().expect("bhive reaped");
+    assert_eq!(status.signal(), Some(9), "killed mid-run: {status}");
+    assert_resumes_byte_identical(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn measure_interrupted_by_sigterm_exits_130_and_resumes() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+    let dir = temp_dir("sigterm-resume");
+    let victim = spawn_measure_until_first_record(&dir);
+    let pid = i32::try_from(victim.id()).expect("pid fits in pid_t");
+    // SAFETY: `kill` only signals the pid, which is our unreaped child.
+    assert_eq!(unsafe { kill(pid, SIGTERM) }, 0, "SIGTERM delivered");
+    let out = victim.wait_with_output().expect("bhive exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(130), "{stderr}");
+    assert!(stderr.contains("INTERRUPTED: partial run"), "{stderr}");
+    assert_resumes_byte_identical(&dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -37,34 +37,40 @@ EOF
 # Trace smoke: a measured run with --trace/--metrics writes a checksummed
 # JSONL trace and a deterministic run_report.json next to it.
 trace_dir="$(mktemp -d)"
-shard_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$shard_dir"' EXIT
+resume_dir="$(mktemp -d)"
+trap 'rm -rf "$trace_dir" "$resume_dir"' EXIT
 cargo run -q --release -p bhive -- measure --scale 3 --no-cache \
     --trace "$trace_dir/trace.jsonl" --metrics >/dev/null
 test -s "$trace_dir/trace.jsonl"
 test -s "$trace_dir/run_report.json"
 grep -q 'bhive-run-report/v1' "$trace_dir/run_report.json"
-# Sharded smoke: a 2-worker sharded run — with one shard worker
-# kill -9'd mid-flight first — resumes and emits a CSV byte-identical
-# to a plain serial run. (The thorough 4-way version is
-# crates/core/tests/sharded.rs, part of the `cargo test` above.)
+# Kill-and-resume smoke: a cached measure run kill -9'd mid-flight
+# (once its cache log holds a record), then rerun on the same cache,
+# emits a CSV byte-identical to an uncached run.
+# (crates/core/tests/cli.rs also checks that the rerun is served partly
+# from disk, and the SIGTERM path's exit 130.)
 bhive=target/release/bhive
-"$bhive" measure --scale 25 --seed 7 --threads 2 --no-cache \
-    >"$shard_dir/serial.csv" 2>/dev/null
-"$bhive" measure --shard 0/2 --scale 25 --seed 7 --threads 1 \
-    --cache "$shard_dir/cache" >/dev/null 2>&1 &
+"$bhive" measure --scale 200 --seed 7 --threads 2 --no-cache \
+    >"$resume_dir/reference.csv" 2>/dev/null
+"$bhive" measure --scale 200 --seed 7 --threads 2 \
+    --cache "$resume_dir/cache" >/dev/null 2>&1 &
 victim=$!
-sleep 0.05
-kill -9 "$victim" 2>/dev/null || true
-wait "$victim" 2>/dev/null || true
-"$bhive" measure --workers 2 --scale 25 --seed 7 --threads 2 \
-    --cache "$shard_dir/cache" >"$shard_dir/sharded.csv" 2>/dev/null
-cmp "$shard_dir/serial.csv" "$shard_dir/sharded.csv"
+for _ in $(seq 5000); do
+    [ -s "$resume_dir/cache/measurements-hsw.jsonl" ] && break
+    sleep 0.001
+done
+kill -9 "$victim"
+status=0
+wait "$victim" 2>/dev/null || status=$?
+test "$status" -eq 137 # killed, not finished
+"$bhive" measure --scale 200 --seed 7 --threads 2 \
+    --cache "$resume_dir/cache" >"$resume_dir/resumed.csv" 2>/dev/null
+cmp "$resume_dir/reference.csv" "$resume_dir/resumed.csv"
 # Serve smoke: spawn the daemon on a unix socket, roundtrip a cold
 # miss, a warm hit, and a malformed request through the protocol
 # client, then SIGTERM it and assert a clean drain (exit 0).
 serve_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$shard_dir" "$serve_dir"' EXIT
+trap 'rm -rf "$trace_dir" "$resume_dir" "$serve_dir"' EXIT
 cargo build -q --release -p bhive-serve --example serve_probe
 "$bhive" serve --listen "unix:$serve_dir/bhive.sock" --no-cache \
     --drain-ms 2000 2>/dev/null &
@@ -93,7 +99,7 @@ test ! -e "$serve_dir/bhive.sock" # drain unlinks the socket
 # tables must measure every probe, report zero drift (--diff exits 0),
 # and write the versioned report.
 calib_dir="$(mktemp -d)"
-trap 'rm -rf "$trace_dir" "$shard_dir" "$serve_dir" "$calib_dir"' EXIT
+trap 'rm -rf "$trace_dir" "$resume_dir" "$serve_dir" "$calib_dir"' EXIT
 "$bhive" calibrate --uarch ivb --quick --no-cache \
     --report "$calib_dir/calibration_report.json" --diff >/dev/null
 grep -q 'bhive-calibration-report/v1' "$calib_dir/calibration_report.json"

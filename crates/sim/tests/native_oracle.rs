@@ -37,7 +37,7 @@ use bhive_uarch::Uarch;
 use common::{faulting_inst_text, machine_with_pages, prefix_block, run_monitored, FILL};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::fs::File;
 use std::os::fd::FromRawFd;
 use std::os::unix::fs::FileExt;
@@ -704,6 +704,101 @@ fn semantic_corners_match_host() {
     }
 }
 
+/// Values at the overflow, carry-out and sign edges of 32- and 64-bit
+/// arithmetic: 0, 1, −1, `i64::MIN`, `i64::MAX`, `0x7fffffff` and
+/// `0x80000000`. As float bits they are zeros, NaNs and the smallest
+/// subnormal.
+const EDGES: [u64; 7] = [
+    0,
+    1,
+    u64::MAX,
+    1 << 63,
+    (1 << 63) - 1,
+    0x7fff_ffff,
+    0x8000_0000,
+];
+
+/// `block` behind a prologue that moves [`EDGES`] into the registers it
+/// reads: `mov r64, imm64` into each GPR it reads, other than RSP and
+/// the registers it addresses memory through, then `movq xmm, r64` from
+/// one of those GPRs into each vector register it reads. `seed` picks
+/// the values. The prologue is part of the block, so every unrolled copy
+/// starts again at the edges.
+fn edge_seeded(block: &BasicBlock, seed: u64) -> BasicBlock {
+    let insts = block.insts();
+    let addressing: Vec<Gpr> = insts
+        .iter()
+        .filter_map(Inst::mem_operand)
+        .flat_map(|m| m.base.into_iter().chain(m.index.map(|(r, _)| r)))
+        .collect();
+    let mut gprs: Vec<Gpr> = insts
+        .iter()
+        .flat_map(Inst::gpr_reads)
+        .filter(|r| *r != Gpr::Rsp && !addressing.contains(r))
+        .collect();
+    gprs.sort_by_key(|r| r.number());
+    gprs.dedup();
+    let mut vecs: Vec<u8> = insts
+        .iter()
+        .flat_map(Inst::vec_reads)
+        .map(|v| v.number())
+        .collect();
+    vecs.sort_unstable();
+    vecs.dedup();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut text = String::new();
+    for reg in &gprs {
+        let value = EDGES[rng.gen_range(0..EDGES.len())];
+        text += &format!("mov {}, {value:#x}\n", reg.name(OpSize::Q));
+    }
+    if !gprs.is_empty() {
+        for x in vecs {
+            let src = gprs[rng.gen_range(0..gprs.len())];
+            text += &format!("movq xmm{x}, {}\n", src.name(OpSize::Q));
+        }
+    }
+    let mut seeded = if text.is_empty() {
+        Vec::new()
+    } else {
+        parse_block(&text)
+            .expect("the prologue parses")
+            .insts()
+            .to_vec()
+    };
+    seeded.extend_from_slice(insts);
+    BasicBlock::new(seeded)
+}
+
+/// One register-only integer op chosen by the bits of `pick`, at 32 or
+/// 64 bits on registers other than RSP: the arithmetic, logic, shift and
+/// multiply forms whose overflow, carry and sign results the edge
+/// values push to their limits.
+fn alu_inst_text(pick: u64) -> String {
+    let size = if pick & 1 == 0 { OpSize::D } else { OpSize::Q };
+    let reg = |bits: u64| {
+        let n = (bits % 15) as u8;
+        Gpr::from_number(n + u8::from(n >= Gpr::Rsp.number())).name(size)
+    };
+    let (d, s) = (reg(pick >> 8), reg(pick >> 16));
+    let choose = |ops: &[&'static str]| ops[(pick >> 24) as usize % ops.len()];
+    let imm = |imms: &[i64]| imms[(pick >> 32) as usize % imms.len()];
+    match (pick >> 1) % 4 {
+        0 => {
+            let op = choose(&["add", "adc", "sub", "sbb", "cmp", "and", "xor", "imul"]);
+            format!("{op} {d}, {s}")
+        }
+        1 => {
+            let op = choose(&["add", "adc", "sub", "sbb", "cmp"]);
+            format!("{op} {d}, {}", imm(&[1, -1, 0x7f, -0x80]))
+        }
+        2 => format!("{} {d}", choose(&["neg", "inc", "dec"])),
+        _ => {
+            let op = choose(&["shl", "shr", "sar", "rol", "ror"]);
+            format!("{op} {d}, {}", imm(&[1, 7, 31]))
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -713,6 +808,20 @@ proptest! {
         if host_has_avx() {
             let block = generate_block(Application::ALL[app_idx], &mut SmallRng::seed_from_u64(seed));
             check_all(&block).map_err(TestCaseError::fail)?;
+        }
+    }
+
+    /// Random blocks behind an edge-value prologue ([`edge_seeded`]), so
+    /// that edge values reach the generated FP, vector and integer ops.
+    #[test]
+    fn edge_seeded_blocks_match_host(
+        seed in any::<u64>(),
+        app_idx in 0usize..12,
+        values in any::<u64>(),
+    ) {
+        if host_has_avx() {
+            let block = generate_block(Application::ALL[app_idx], &mut SmallRng::seed_from_u64(seed));
+            check_all(&edge_seeded(&block, values)).map_err(TestCaseError::fail)?;
         }
     }
 
@@ -726,6 +835,28 @@ proptest! {
             .collect();
         if host_has_avx() && !insts.is_empty() {
             check_all(&BasicBlock::new(insts)).map_err(TestCaseError::fail)?;
+        }
+    }
+}
+
+proptest! {
+    // A case is a few register ops, so many cases stay cheap; about one
+    // in fifty ends in an overflowing `sub`.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Short integer op sequences ([`alu_inst_text`]) behind an
+    /// edge-value prologue, so overflow, carry-out and sign edges reach
+    /// the end-of-block flag diff: the last op's flags are the ones
+    /// compared.
+    #[test]
+    fn edge_seeded_alu_ops_match_host(
+        picks in proptest::collection::vec(any::<u64>(), 1..5),
+        values in any::<u64>(),
+    ) {
+        let text: Vec<String> = picks.iter().map(|&p| alu_inst_text(p)).collect();
+        let block = parse_block(&text.join("\n")).unwrap();
+        if host_has_avx() {
+            check_all(&edge_seeded(&block, values)).map_err(TestCaseError::fail)?;
         }
     }
 }

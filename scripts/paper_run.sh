@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# Full paper-scale reproduction via sharded multi-process profiling.
+# Full paper-scale reproduction.
 #
 # Warms the measurement cache for the full 358,561-block main corpus
 # (and the 3x training corpus Ithemal trains on) across every paper
-# microarchitecture with a resumable worker fleet, then replays
-# Tables 3-5 warm out of the same cache. Interrupt it — including
-# `kill -9` of any worker — and rerun: completed shards are certified
-# on disk and never re-profiled, and the final tables are bit-identical
-# to an uninterrupted run.
+# microarchitecture, then replays Tables 3-5 warm out of the same cache.
+# Interrupt it — Ctrl-C, SIGTERM or `kill -9` — and rerun: every block
+# measured so far is already in the cache and is never re-profiled, and
+# the final tables are bit-identical to an uninterrupted run.
 #
-# Usage: scripts/paper_run.sh [WORKERS] [CACHE_DIR]
-#   WORKERS    worker processes per measurement (default 4)
+# Usage: scripts/paper_run.sh [THREADS] [CACHE_DIR]
+#   THREADS    profiling threads per measurement (default 0: all cores)
 #   CACHE_DIR  measurement cache root (default ./paper-cache)
 #
 # Environment:
@@ -21,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workers="${1:-4}"
+threads="${1:-0}"
 cache="${2:-paper-cache}"
 scale_args="${BHIVE_SCALE_ARGS:---paper-scale}"
 
@@ -32,10 +31,10 @@ bhive=target/release/bhive
 # plus the disjoint training corpus per uarch for the learned model.
 for uarch in ivb hsw skl; do
     for corpus in main training; do
-        echo "== warming $corpus/$uarch with $workers worker(s)" >&2
+        echo "== warming $corpus/$uarch" >&2
         # shellcheck disable=SC2086  # scale_args is a flag list
         "$bhive" measure $scale_args --seed 42 --uarch "$uarch" \
-            --corpus "$corpus" --workers "$workers" --cache "$cache" \
+            --corpus "$corpus" --threads "$threads" --cache "$cache" \
             >/dev/null
     done
 done
@@ -43,6 +42,7 @@ done
 # The tables replay warm out of the cache.
 for table in table3 table4 table5; do
     # shellcheck disable=SC2086
-    "$bhive" "$table" $scale_args --seed 42 --cache "$cache"
+    "$bhive" "$table" $scale_args --seed 42 --threads "$threads" \
+        --cache "$cache"
     echo
 done

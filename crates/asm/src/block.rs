@@ -99,22 +99,6 @@ impl BasicBlock {
         Ok(self.encode()?.len())
     }
 
-    /// A stable 64-bit content hash: FNV-1a over the encoded machine
-    /// code.
-    ///
-    /// Unlike `std::hash::Hash` (whose output varies across compiler
-    /// releases and hasher instances), this value depends only on the
-    /// block's encoding, so it is safe to persist, to seed deterministic
-    /// measurement noise, and to key deduplication caches. Two blocks
-    /// hash equal exactly when their machine code is byte-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors.
-    pub fn stable_hash(&self) -> Result<u64, AsmError> {
-        Ok(fnv1a_64(&self.encode()?))
-    }
-
     /// Decodes a block from machine code.
     ///
     /// # Errors
@@ -337,12 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn stable_hash_tracks_encoding_only() {
-        let a = parse_block("xor eax, eax\nadd rbx, 0x10").unwrap();
-        let b = BasicBlock::from_hex(&a.to_hex().unwrap()).unwrap();
-        assert_eq!(a.stable_hash().unwrap(), b.stable_hash().unwrap());
-        let c = parse_block("xor eax, eax\nadd rbx, 0x11").unwrap();
-        assert_ne!(a.stable_hash().unwrap(), c.stable_hash().unwrap());
+    fn fnv1a_64_is_fixed() {
         // Fixed by the FNV-1a algorithm: must never change across
         // releases, or persisted dedup keys go stale.
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);

@@ -4,7 +4,6 @@ use crate::report::{fmt_f, fmt_pct, Report};
 use crate::{Category, CorpusKind, EvalRun, Pipeline, ITHEMAL_INDEX, MODEL_COUNT};
 use bhive_corpus::{special, Application};
 use bhive_harness::{profile_corpus, PageMapping, ProfileConfig, Profiler, UnrollStrategy};
-use bhive_learn::stats;
 use bhive_uarch::UarchKind;
 
 /// **Table 1** — ablation of the measurement techniques: percentage of
@@ -338,9 +337,4 @@ pub fn table6(pipeline: &Pipeline) -> Report {
     }
     report.note("blocks weighted by sampled execution frequency");
     report
-}
-
-/// Re-export used by `figures.rs` without a circular import.
-pub(crate) fn _unused_stats_hook() {
-    let _ = stats::mean(&[]);
 }

@@ -53,13 +53,6 @@ impl Measurement {
     pub fn recovered_on_retry(&self) -> bool {
         self.attempt > 0
     }
-    /// Cycles per dynamic instruction at steady state.
-    pub fn cycles_per_inst(&self, block_len: usize) -> f64 {
-        if block_len == 0 {
-            return 0.0;
-        }
-        self.throughput / block_len as f64
-    }
 }
 
 #[cfg(test)]
@@ -78,7 +71,7 @@ mod tests {
     }
 
     #[test]
-    fn cycles_per_inst() {
+    fn recovered_on_retry_reads_the_attempt() {
         let m = Measurement {
             throughput: 8.0,
             lo: trialset(50, 400),
@@ -89,8 +82,6 @@ mod tests {
             misaligned_refs: 0,
             attempt: 0,
         };
-        assert_eq!(m.cycles_per_inst(4), 2.0);
-        assert_eq!(m.cycles_per_inst(0), 0.0);
         assert!(!m.recovered_on_retry());
         let recovered = Measurement { attempt: 2, ..m };
         assert!(recovered.recovered_on_retry());

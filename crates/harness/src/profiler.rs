@@ -53,7 +53,7 @@ impl Profiler {
 
     /// Measures the steady-state throughput of one basic block, running
     /// the full pipeline described in the crate documentation on a fresh
-    /// [`Machine`].
+    /// [`Machine`] (see [`Profiler::profile_on`]).
     ///
     /// When the configuration allows retries
     /// ([`ProfileConfig::with_retries`]), a transient failure
@@ -77,9 +77,31 @@ impl Profiler {
     /// unreproducible timings, misaligned accesses, ...): the *last*
     /// attempt's failure.
     pub fn profile(&self, block: &BasicBlock) -> Result<Measurement, ProfileFailure> {
-        let mut machine = Machine::new(self.uarch, 0);
+        self.profile_on(block, &mut Machine::new(self.uarch, 0))
+    }
+
+    /// [`Profiler::profile`] on a caller-owned machine, which the attempt
+    /// chain recycles and retargets to this profiler's tables (see
+    /// [`Profiler::profile_attempt`]), so the result is bit-identical to
+    /// `profile`'s. A caller that simulates many blocks or many candidate
+    /// tables keeps one machine and reuses its allocations and cached
+    /// lowering.
+    ///
+    /// # Panics
+    ///
+    /// As [`Profiler::profile`]; also if `machine` models another
+    /// microarchitecture kind.
+    ///
+    /// # Errors
+    ///
+    /// As [`Profiler::profile`].
+    pub fn profile_on(
+        &self,
+        block: &BasicBlock,
+        machine: &mut Machine,
+    ) -> Result<Measurement, ProfileFailure> {
         let attempts = 0..=self.config.retry.retries;
-        let chain = crate::profile_attempts(self, block, &mut machine, attempts, 0, None, None);
+        let chain = crate::profile_attempts(self, block, machine, attempts, 0, None, None);
         match chain.outcome {
             Err(ProfileFailure::Panic { message }) => panic!("{message}"),
             _ if chain.panics > 0 => panic!("the profiler panicked on an earlier attempt"),
@@ -96,10 +118,15 @@ impl Profiler {
     /// pipeline. The supervised corpus pipeline drives attempts directly
     /// so its circuit breaker can suspend escalation between them.
     ///
+    /// The machine is first retargeted to this profiler's description
+    /// ([`Machine::retarget`]; a pointer compare when it already models
+    /// it), so a machine last used under other tables of the same kind
+    /// simulates under this profiler's tables.
+    ///
     /// # Panics
     ///
-    /// Panics if `machine` models a different microarchitecture than this
-    /// profiler.
+    /// Panics if `machine` models a different microarchitecture kind than
+    /// this profiler.
     ///
     /// # Errors
     ///
@@ -133,6 +160,7 @@ impl Profiler {
             machine.uarch().kind,
             self.uarch.kind
         );
+        machine.retarget(self.uarch);
         if block.is_empty() {
             return Err(ProfileFailure::InvalidBlock {
                 message: "empty block".into(),

@@ -40,16 +40,16 @@
 //! and comparisons are on `f64::to_bits`. The emitted
 //! [`CalibrationReport`] JSON is therefore byte-identical across runs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bhive_asm::{BasicBlock, Inst};
 use bhive_corpus::probe::{probe_battery, Probe, ProbeBattery, ProbeKind, PROBE_ENTRIES};
 use bhive_harness::{
-    profile_corpus_supervised, MeasurementCache, ObsConfig, ProfileConfig, ProfileStats, Profiler,
-    RunObs, Supervision, TraceEvent, UnrollStrategy,
+    profile_corpus_supervised, Machine, MeasurementCache, ObsConfig, ProfileConfig, ProfileStats,
+    Profiler, RunObs, Supervision, TraceEvent, UnrollStrategy,
 };
 use bhive_uarch::{decompose, entry_key, port_vocabulary, PortSet, TableOverrides, Uarch, UopKind};
 
@@ -144,7 +144,8 @@ pub struct CalibrationReport {
     pub measured_probes: usize,
     /// Probes that failed to measure (excluded from evidence).
     pub failed_probes: usize,
-    /// Candidate simulations run while fitting.
+    /// Candidate evaluations the fit asked for, (probe, table) pairs
+    /// answered from the memo included.
     pub simulations: u64,
     /// Entries whose `drift` flag is set.
     pub drift_count: usize,
@@ -202,49 +203,66 @@ pub fn calib_config() -> ProfileConfig {
 /// Measured or simulated cycles-per-iteration, compared bit-exactly.
 type Tput = u64;
 
-/// Candidate-table simulator with a leak-memo: each distinct override
-/// set is materialized (and leaked) once per process, keyed by its
-/// fingerprint. Shared across worker threads of the port search.
-struct CandidateSim {
+/// Candidate-table simulator for the fit. Each distinct override set
+/// is materialized (and leaked) once per process, keyed by its
+/// fingerprint, and each distinct (probe, override set) pair is
+/// simulated once: a repeat query is answered from `answers`. Every
+/// simulation runs on the one `machine`, which the profiler retargets
+/// to the candidate's tables, so candidates reuse its allocations and
+/// each probe's lowering. The fit is single-threaded.
+struct CandidateSim<'a> {
     base: Uarch,
     config: ProfileConfig,
-    memo: Mutex<std::collections::HashMap<u64, &'static Uarch>>,
-    sims: std::sync::atomic::AtomicU64,
+    probes: &'a [Probe],
+    tables: HashMap<u64, &'static Uarch>,
+    answers: HashMap<(usize, u64), Option<Tput>>,
+    machine: Machine,
+    queries: u64,
 }
 
-impl CandidateSim {
-    fn new(target: &Uarch, config: ProfileConfig) -> CandidateSim {
+impl<'a> CandidateSim<'a> {
+    fn new(target: &'static Uarch, config: ProfileConfig, probes: &'a [Probe]) -> CandidateSim<'a> {
         CandidateSim {
             // Candidates are built on the *base* machine: the target's
             // own overrides (synthetic tables in the round-trip tests)
             // must not leak into what we claim to have recovered.
             base: target.base(),
             config,
-            memo: Mutex::new(std::collections::HashMap::new()),
-            sims: std::sync::atomic::AtomicU64::new(0),
+            probes,
+            tables: HashMap::new(),
+            answers: HashMap::new(),
+            machine: Machine::new(target, 0),
+            queries: 0,
         }
     }
 
-    fn uarch_for(&self, overrides: &TableOverrides) -> &'static Uarch {
+    /// Simulated throughput of probe `probe` under a candidate table, or
+    /// `None` if the candidate machine rejects the block. Simulation is
+    /// a pure function of (block, tables, config), so a stored answer is
+    /// the one a new simulation would give.
+    fn throughput(&mut self, probe: usize, overrides: &TableOverrides) -> Option<Tput> {
+        self.queries += 1;
         let fp = overrides.fingerprint();
-        let mut memo = self.memo.lock().unwrap();
-        memo.entry(fp)
-            .or_insert_with(|| self.base.with_overrides(overrides.clone()).leak())
-    }
-
-    /// Simulated throughput of `block` under a candidate table, or
-    /// `None` if the candidate machine rejects the block.
-    fn throughput(&self, block: &BasicBlock, overrides: &TableOverrides) -> Option<Tput> {
-        self.sims.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let uarch = self.uarch_for(overrides);
-        Profiler::new(uarch, self.config.clone())
-            .profile(block)
+        if let Some(&answer) = self.answers.get(&(probe, fp)) {
+            return answer;
+        }
+        let base = &self.base;
+        let uarch = *self
+            .tables
+            .entry(fp)
+            .or_insert_with(|| base.with_overrides(overrides.clone()).leak());
+        let answer = Profiler::new(uarch, self.config.clone())
+            .profile_on(&self.probes[probe].block, &mut self.machine)
             .ok()
-            .map(|m| m.throughput.to_bits())
+            .map(|m| m.throughput.to_bits());
+        self.answers.insert((probe, fp), answer);
+        answer
     }
 
+    /// Queries answered so far, memo hits included: the fit's work in
+    /// candidate evaluations, independent of how many were simulated.
     fn sim_count(&self) -> u64 {
-        self.sims.load(std::sync::atomic::Ordering::Relaxed)
+        self.queries
     }
 }
 
@@ -307,7 +325,7 @@ pub fn calibrate(
     let failed_probes = measured.len() - measured_probes;
 
     // ---- Phase 2 & 3: fit candidate tables. ----
-    let sim = CandidateSim::new(target, config);
+    let mut sim = CandidateSim::new(target, config, &battery.probes);
     let vocabulary: Vec<u8> = {
         let mut v: Vec<u8> = port_vocabulary(&sim.base)
             .iter()
@@ -336,12 +354,12 @@ pub fn calibrate(
         .collect();
 
     for state in &mut states {
-        fit_latency(state, &battery, &measured, &sim);
+        fit_latency(state, &battery, &measured, &mut sim);
     }
     for state in &mut states {
-        filter_solo(state, &battery, &measured, &sim);
+        filter_solo(state, &battery, &measured, &mut sim);
     }
-    arc_consistency(&mut states, &battery, &measured, &sim);
+    arc_consistency(&mut states, &battery, &measured, &mut sim);
 
     // ---- Phase 4: report, fitted table, observability. ----
     let mut entries = BTreeMap::new();
@@ -470,18 +488,18 @@ fn fit_latency(
     state: &mut EntryState,
     battery: &ProbeBattery,
     measured: &[Option<Tput>],
-    sim: &CandidateSim,
+    sim: &mut CandidateSim<'_>,
 ) {
     if !state.chainable {
         return;
     }
-    let chains: Vec<(usize, &Probe, Tput)> = battery
+    let chains: Vec<(usize, usize, Tput)> = battery
         .probes
         .iter()
         .enumerate()
         .filter_map(|(idx, p)| match p.kind {
             ProbeKind::Latency { key, len } if key == state.key => {
-                measured[idx].map(|t| (len, p, t))
+                measured[idx].map(|t| (len, idx, t))
             }
             _ => None,
         })
@@ -507,7 +525,7 @@ fn fit_latency(
         let pins = assignments(&[(state.key, latency, state.shipped_ports)]);
         let verified = chains
             .iter()
-            .all(|(_, probe, t)| sim.throughput(&probe.block, &pins) == Some(*t));
+            .all(|&(_, probe, t)| sim.throughput(probe, &pins) == Some(t));
         if verified {
             state.fitted_latency = latency;
             state.latency_verified = true;
@@ -522,14 +540,14 @@ fn filter_solo(
     state: &mut EntryState,
     battery: &ProbeBattery,
     measured: &[Option<Tput>],
-    sim: &CandidateSim,
+    sim: &mut CandidateSim<'_>,
 ) {
-    let evidence: Vec<(&Probe, Tput)> = battery
+    let evidence: Vec<(usize, Tput)> = battery
         .probes
         .iter()
         .enumerate()
         .filter(|(_, p)| p.keys.len() == 1 && p.keys[0] == state.key)
-        .filter_map(|(idx, p)| measured[idx].map(|t| (p, t)))
+        .filter_map(|(idx, _)| measured[idx].map(|t| (idx, t)))
         .collect();
     if evidence.is_empty() {
         return;
@@ -540,7 +558,7 @@ fn filter_solo(
         let pins = assignments(&[(key, latency, mask)]);
         evidence
             .iter()
-            .all(|(probe, t)| sim.throughput(&probe.block, &pins) == Some(*t))
+            .all(|&(probe, t)| sim.throughput(probe, &pins) == Some(t))
     });
     if state.class.is_empty() {
         // No candidate explains the measurements (a probe failure or a
@@ -557,7 +575,7 @@ fn arc_consistency(
     states: &mut [EntryState],
     battery: &ProbeBattery,
     measured: &[Option<Tput>],
-    sim: &CandidateSim,
+    sim: &mut CandidateSim<'_>,
 ) {
     let index_of = |states: &[EntryState], key: &str| states.iter().position(|s| s.key == key);
     loop {
@@ -599,7 +617,7 @@ fn arc_consistency(
                         .filter(|&mask| {
                             let mut pins = pinned.clone();
                             pins.push((key, latency, mask));
-                            sim.throughput(&probe.block, &assignments(&pins)) == Some(t)
+                            sim.throughput(idx, &assignments(&pins)) == Some(t)
                         })
                         .collect();
                     if !survivors.is_empty() && survivors.len() < before {
@@ -617,7 +635,7 @@ fn arc_consistency(
                             let mut pins = pinned.clone();
                             pins.push((ka, la, ma));
                             pins.push((kb, lb, mb));
-                            if sim.throughput(&probe.block, &assignments(&pins)) == Some(t) {
+                            if sim.throughput(idx, &assignments(&pins)) == Some(t) {
                                 if !keep_a.contains(&ma) {
                                     keep_a.push(ma);
                                 }
@@ -644,5 +662,62 @@ fn arc_consistency(
         if !changed {
             break;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    #[test]
+    fn candidate_sim_answers_repeats_like_a_fresh_profile() {
+        let target = Uarch::ivy_bridge();
+        let battery = probe_battery(target.supports_avx2, true);
+        let first = |keys: &[&str]| {
+            battery
+                .probes
+                .iter()
+                .position(|p| p.keys == keys)
+                .unwrap_or_else(|| panic!("no quick ivb probe with keys {keys:?}"))
+        };
+        let probes = [first(&["alu"]), first(&["mul"]), first(&["alu", "setcc"])];
+        let alu = shipped_row(&target.base(), &battery, "alu");
+        let mul = shipped_row(&target.base(), &battery, "mul");
+        let tables = [
+            TableOverrides::new(),
+            assignments(&[("alu", alu.0 + 2, alu.1)]),
+            assignments(&[("mul", mul.0 + 3, mul.1)]),
+            assignments(&[("alu", alu.0, 0b1), ("mul", mul.0, mul.1)]),
+        ];
+        let distinct: Vec<(usize, usize)> = probes
+            .iter()
+            .flat_map(|&p| (0..tables.len()).map(move |t| (p, t)))
+            .collect();
+        let mut queries: Vec<(usize, usize)> = distinct.iter().chain(&distinct).copied().collect();
+        queries.shuffle(&mut SmallRng::seed_from_u64(27));
+
+        let mut sim = CandidateSim::new(target, calib_config(), &battery.probes);
+        let mut answers = std::collections::BTreeSet::new();
+        for (count, &(probe, table)) in queries.iter().enumerate() {
+            let answer = sim.throughput(probe, &tables[table]);
+            let fresh = Profiler::new(
+                target.base().with_overrides(tables[table].clone()).leak(),
+                calib_config(),
+            )
+            .profile(&battery.probes[probe].block)
+            .ok()
+            .map(|m| m.throughput.to_bits());
+            assert_eq!(answer, fresh, "probe {probe} under table {table}");
+            assert_eq!(sim.sim_count(), count as u64 + 1, "every query counts");
+            answers.insert((probe, answer));
+        }
+        assert_eq!(sim.answers.len(), distinct.len(), "one simulation per pair");
+        assert!(
+            answers.len() > probes.len(),
+            "the candidate tables must change some probe's answer"
+        );
     }
 }

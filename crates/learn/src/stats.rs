@@ -93,25 +93,6 @@ pub fn kendall_tau(a: &[f64], b: &[f64]) -> f64 {
     (concordant - discordant) as f64 / denom
 }
 
-/// Arithmetic mean.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
-/// Sample standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64;
-    var.sqrt()
-}
-
 /// The `q`-quantile (0 ≤ q ≤ 1) by linear interpolation on sorted data.
 pub fn quantile(values: &[f64], q: f64) -> f64 {
     if values.is_empty() {
@@ -194,12 +175,5 @@ mod tests {
         assert_eq!(quantile(&v, 0.0), 1.0);
         assert_eq!(quantile(&v, 1.0), 4.0);
         assert_eq!(quantile(&v, 0.5), 2.5);
-    }
-
-    #[test]
-    fn dispersion() {
-        let v = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((mean(&v) - 5.0).abs() < 1e-12);
-        assert!((std_dev(&v) - 2.138).abs() < 0.01);
     }
 }

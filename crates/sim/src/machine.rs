@@ -174,6 +174,28 @@ impl Machine {
         self.rng = SmallRng::seed_from_u64(seed);
     }
 
+    /// Points this machine at another description of the hardware, so one
+    /// machine can simulate a block under several candidate tables.
+    /// Everything the arena keeps that was derived from the old
+    /// description is dropped: the cached static timing prep (uop
+    /// recipes depend on the tables) and any L1 whose geometry differs.
+    /// The block's lowering depends only on its instructions and stays.
+    /// A no-op when `uarch` is the description the machine already
+    /// models, so the harness can call it on every attempt.
+    pub fn retarget(&mut self, uarch: &'static Uarch) {
+        if std::ptr::eq(self.uarch, uarch) {
+            return;
+        }
+        self.timing.lower.static_prep = None;
+        if self.uarch.l1i != uarch.l1i {
+            self.timing.l1i = None;
+        }
+        if self.uarch.l1d != uarch.l1d {
+            self.timing.l1d = None;
+        }
+        self.uarch = uarch;
+    }
+
     /// The modeled microarchitecture.
     pub fn uarch(&self) -> &'static Uarch {
         self.uarch
@@ -617,6 +639,61 @@ mod tests {
                 run(&mut fresh, block),
                 "block {idx}"
             );
+        }
+    }
+
+    #[test]
+    fn retargeted_machine_matches_fresh_machine() {
+        // Three loads to distinct lines of one page feeding an imul chain:
+        // `slow_mul` changes the latency of the chain's table entry, and
+        // `one_set` shrinks the L1D to two lines so the loads evict.
+        let block = parse_block(
+            "mov rax, qword ptr [rbx]\n\
+             mov rcx, qword ptr [rbx + 64]\n\
+             mov rdx, qword ptr [rbx + 128]\n\
+             imul rax, rcx\n\
+             imul rax, rdx",
+        )
+        .unwrap();
+        let hsw = Uarch::haswell();
+        let imul = &block.insts()[3];
+        let key = bhive_uarch::entry_key(imul).unwrap();
+        let recipe = bhive_uarch::decompose(imul, hsw);
+        let mul = recipe
+            .uops
+            .iter()
+            .find(|u| u.kind == bhive_uarch::UopKind::Compute)
+            .unwrap();
+        let mut overrides = bhive_uarch::TableOverrides::new();
+        overrides.set(key, mul.latency + 4, mul.ports);
+        let slow_mul = hsw.with_overrides(overrides).leak();
+        let one_set = Uarch {
+            l1d: bhive_uarch::CacheParams {
+                size_bytes: 2 * 64,
+                line_bytes: 64,
+                ways: 2,
+            },
+            ..hsw.clone()
+        }
+        .leak();
+        let run = |machine: &mut Machine| {
+            machine.reset(0x1234_5600);
+            let page = machine.memory_mut().alloc_page(0x1234_5600);
+            machine.memory_mut().map(0x1234_5600, page);
+            machine.run(block.insts(), 16).unwrap().counters
+        };
+        let fresh = |uarch: &'static Uarch| run(&mut Machine::new(uarch, 0));
+        assert_ne!(fresh(hsw), fresh(slow_mul), "the latency must matter");
+        assert_ne!(fresh(hsw), fresh(one_set), "the L1D must matter");
+        // One machine carries its lowering, static prep and caches from
+        // each table to the next; every run must still match a new
+        // machine built for that table.
+        let mut reused = Machine::new(hsw, 0);
+        for (step, uarch) in [hsw, slow_mul, hsw, one_set, hsw].into_iter().enumerate() {
+            reused.recycle(0, NoiseConfig::quiet());
+            reused.retarget(uarch);
+            assert!(std::ptr::eq(reused.uarch(), uarch));
+            assert_eq!(run(&mut reused), fresh(uarch), "step {step}");
         }
     }
 

@@ -103,6 +103,14 @@ trap 'rm -rf "$trace_dir" "$resume_dir" "$serve_dir" "$calib_dir"' EXIT
 "$bhive" calibrate --uarch ivb --quick --no-cache \
     --report "$calib_dir/calibration_report.json" --diff >/dev/null
 grep -q 'bhive-calibration-report/v1' "$calib_dir/calibration_report.json"
+# The full Skylake battery, where about half the fit's candidate queries
+# repeat and are answered from the memo: the report must be
+# byte-identical at one and two threads and show no drift.
+for threads in 1 2; do
+    "$bhive" calibrate --uarch skl --no-cache --threads "$threads" \
+        --report "$calib_dir/skl-$threads.json" --diff >/dev/null
+done
+cmp "$calib_dir/skl-1.json" "$calib_dir/skl-2.json"
 if command -v rustfmt >/dev/null 2>&1; then
     cargo fmt --check
 else
